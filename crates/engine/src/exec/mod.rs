@@ -182,7 +182,11 @@ impl FailureSpec {
 /// The storage a run executes against: the caller's store for normal
 /// runs, or an owned scratch copy for failure runs so the dead node's
 /// local state can be made unreachable at recovery time without
-/// disturbing the caller.
+/// disturbing the caller.  A scratch copy shares the caller's tuple maps
+/// and index pages copy-on-write, so making one costs O(nodes +
+/// relations + pages), not O(tuples).  Normal runs still borrow: only a
+/// borrowed store shares the caller's delta memo, which keeps delta
+/// derivation at one per interval across every consumer.
 enum StorageHandle<'a> {
     Borrowed(&'a DistributedStorage),
     Scratch(Box<DistributedStorage>),
@@ -239,7 +243,8 @@ impl<'a> QueryExecutor<'a> {
     /// The caller's storage is not disturbed: the run executes against a
     /// scratch copy that behaves exactly like the original until the
     /// failure is detected; recovery then marks the node failed so
-    /// rescans cannot read the dead node's local state.
+    /// rescans cannot read the dead node's local state.  The copy shares
+    /// the caller's data copy-on-write, so it is cheap to make and drop.
     pub fn execute_with_failure(
         &self,
         plan: &PhysicalPlan,

@@ -53,19 +53,13 @@ impl Runtime<'_> {
                         .storage
                         .get()
                         .delta_partition(relation, from, to, node, &ranges)?;
-                    self.stats.pages_read += scan.pages_read;
-                    self.stats.tuples_scanned += scan.tuples_read;
-                    self.stats.remote_lookups += scan.remote_lookups;
-                    let mut duration = profile.scan_time(scan.tuples_read, scan.pages_read);
-                    let now = self.sim.now();
-                    for (src, bytes) in &scan.remote_transfers {
-                        if let Some(arrival) =
-                            self.sim
-                                .send(*src, node, *bytes, now, Payload::StorageFetch)
-                        {
-                            duration = duration.max(arrival.saturating_sub(now));
-                        }
-                    }
+                    let duration = self.charge_fetches(
+                        node,
+                        scan.pages_read,
+                        scan.tuples_read,
+                        scan.remote_lookups,
+                        &scan.remote_transfers,
+                    );
                     // The scan predicate applies to both signs: a removed
                     // version only ever contributed if it passed, and an
                     // added version only contributes if it passes.
@@ -76,22 +70,13 @@ impl Runtime<'_> {
                     .storage
                     .get()
                     .scan_partition(relation, epoch, node, &ranges)?;
-                self.stats.pages_read += scan.pages_read;
-                self.stats.tuples_scanned += scan.tuples_read;
-                self.stats.remote_lookups += scan.remote_lookups;
-                let mut duration = profile.scan_time(scan.tuples_read, scan.pages_read);
-                // Tuples that had to come from a replica cross the wire:
-                // charge their bytes and latency to the simulation and
-                // stretch the scan until the last transfer lands.
-                let now = self.sim.now();
-                for (src, bytes) in &scan.remote_transfers {
-                    if let Some(arrival) =
-                        self.sim
-                            .send(*src, node, *bytes, now, Payload::StorageFetch)
-                    {
-                        duration = duration.max(arrival.saturating_sub(now));
-                    }
-                }
+                let duration = self.charge_fetches(
+                    node,
+                    scan.pages_read,
+                    scan.tuples_read,
+                    scan.remote_lookups,
+                    &scan.remote_transfers,
+                );
                 let rows = self.emit_scanned(scan.tuples, predicate, node);
                 Ok((rows, duration))
             }
@@ -129,6 +114,34 @@ impl Runtime<'_> {
         }
     }
 
+    /// Account a partition or delta scan's fetches on behalf of `node` and
+    /// return the scan's simulated duration.  Tuples that had to come from
+    /// a replica cross the wire: their bytes and latency are charged to the
+    /// simulation and the scan stretches until the last transfer lands.
+    fn charge_fetches(
+        &mut self,
+        node: NodeId,
+        pages_read: usize,
+        tuples_read: usize,
+        remote_lookups: usize,
+        remote_transfers: &[(NodeId, usize)],
+    ) -> SimTime {
+        self.stats.pages_read += pages_read;
+        self.stats.tuples_scanned += tuples_read;
+        self.stats.remote_lookups += remote_lookups;
+        let mut duration = self.config.profile.node.scan_time(tuples_read, pages_read);
+        let now = self.sim.now();
+        for (src, bytes) in remote_transfers {
+            if let Some(arrival) = self
+                .sim
+                .send(*src, node, *bytes, now, Payload::StorageFetch)
+            {
+                duration = duration.max(arrival.saturating_sub(now));
+            }
+        }
+        duration
+    }
+
     /// Answer a key-only scan from the index pages alone, "bypassing the
     /// data storage nodes".
     fn covering_scan(
@@ -137,21 +150,18 @@ impl Runtime<'_> {
         epoch: Epoch,
         ranges: &[KeyRange],
     ) -> Result<(Vec<Tuple>, usize)> {
-        let Some(version_epoch) = self.storage.get().version_at(relation, epoch) else {
+        let storage = self.storage.get();
+        let Some(version_epoch) = storage.version_at(relation, epoch) else {
             return Ok((Vec::new(), 0));
         };
-        let version = self
-            .storage
-            .get()
-            .lookup_coordinator(&CoordinatorKey::new(relation, version_epoch))?
-            .clone();
+        let version = storage.lookup_coordinator(&CoordinatorKey::new(relation, version_epoch))?;
         let mut out = Vec::new();
         let mut pages = 0;
         for descriptor in &version.pages {
             if !ranges.iter().any(|r| r.overlaps(&descriptor.range)) {
                 continue;
             }
-            let page = self.storage.get().lookup_index_page(descriptor)?;
+            let page = storage.lookup_index_page(descriptor)?;
             pages += 1;
             for id in &page.tuple_ids {
                 if ranges.iter().any(|r| r.contains(id.hash_key())) {

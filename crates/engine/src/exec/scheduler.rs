@@ -425,6 +425,8 @@ impl SessionScheduler {
                 // A failure run needs a per-session scratch copy so each
                 // session's recovery can mark the dead node unreadable
                 // without disturbing the caller (or the other sessions).
+                // The copy shares the caller's data copy-on-write, so it
+                // costs reference counts, not tuples.
                 let handle = if failure.is_some() {
                     StorageHandle::Scratch(Box::new(storage.clone()))
                 } else {

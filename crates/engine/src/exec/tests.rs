@@ -314,6 +314,59 @@ fn restart_recovery_returns_the_full_answer() {
 }
 
 #[test]
+fn failure_runs_leave_the_callers_storage_untouched() {
+    // Each failure run works on a copy-on-write scratch copy: recovery
+    // marks the victim failed there, never in the caller's store, so a
+    // second identical run must see exactly what the first one saw.
+    let mut s = cluster(6);
+    publish_r(&mut s, 120);
+    let scans = |s: &DistributedStorage| -> Vec<Vec<Tuple>> {
+        s.routing()
+            .nodes()
+            .into_iter()
+            .map(|n| {
+                let ranges = s.routing().ranges_of(n);
+                s.scan_partition("R", Epoch(0), n, &ranges).unwrap().tuples
+            })
+            .collect()
+    };
+    let before = scans(&s);
+    let exec = QueryExecutor::new(&s, EngineConfig::default());
+    let baseline = exec
+        .execute(&scan_ship_plan(), Epoch(0), NodeId(0))
+        .unwrap();
+    let failure = FailureSpec::at_time(
+        NodeId(3),
+        SimTime::from_micros(baseline.running_time.as_micros() / 2),
+    );
+    let deterministic = |r: &QueryReport| {
+        (
+            r.rows.clone(),
+            r.signed_rows.clone(),
+            r.running_time,
+            r.total_bytes,
+            r.total_messages,
+            r.link_traffic.clone(),
+            r.dropped_messages,
+            (r.recovered, r.phases),
+            (r.pages_read, r.tuples_scanned, r.remote_lookups),
+            (r.purged, r.retransmitted),
+        )
+    };
+    let first = exec
+        .execute_with_failure(&scan_ship_plan(), Epoch(0), NodeId(0), failure)
+        .unwrap();
+    let second = exec
+        .execute_with_failure(&scan_ship_plan(), Epoch(0), NodeId(0), failure)
+        .unwrap();
+    assert!(first.recovered);
+    assert_eq!(first.rows, baseline.rows);
+    assert_eq!(deterministic(&first), deterministic(&second));
+    assert!(s.failed_nodes().is_empty());
+    assert_eq!(scans(&s), before);
+}
+
+#[test]
 fn incremental_join_recovery_retransmits_cached_output() {
     // A join rehashed on a high-cardinality key sends rows to every
     // node, so killing one mid-query must exercise recovery stage 4:

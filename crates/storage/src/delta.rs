@@ -25,7 +25,7 @@
 //!   network.  A modification appears as its `-old`/`+new` pair.
 
 use crate::coordinator::CoordinatorKey;
-use crate::distributed::DistributedStorage;
+use crate::distributed::{DistributedStorage, FetchTally};
 use crate::page::PageDescriptor;
 use orchestra_common::{Epoch, KeyRange, NodeId, OrchestraError, Result, Tuple, TupleId};
 use std::cell::{Cell, RefCell};
@@ -357,31 +357,27 @@ impl DistributedStorage {
         node: NodeId,
         ranges: &[KeyRange],
     ) -> Result<DeltaPartitionScan> {
-        let mut scan = DeltaPartitionScan::default();
         let derived = self.changed_partitions(relation, from, to)?;
+        let (mut rows, mut pages_read, mut tally) = (Vec::new(), 0, FetchTally::default());
         for change in &derived.0 {
-            scan.pages_read += change.pages_read;
+            pages_read += change.pages_read;
             for (ids, sign) in [(&change.removed, -1i8), (&change.added, 1i8)] {
                 for id in ids.iter() {
-                    let hash = id.hash_key();
-                    if !ranges.iter().any(|r| r.contains(hash)) {
-                        continue;
+                    if let Some(tuple) =
+                        self.fetch_in_ranges(relation, id, node, ranges, &mut tally)?
+                    {
+                        rows.push((tuple, sign));
                     }
-                    let (tuple, remote) = self.lookup_tuple(relation, id, Some(node))?;
-                    scan.tuples_read += 1;
-                    if let Some(src) = remote {
-                        scan.remote_lookups += 1;
-                        let bytes = tuple.serialized_size();
-                        match scan.remote_transfers.iter_mut().find(|(n, _)| *n == src) {
-                            Some((_, b)) => *b += bytes,
-                            None => scan.remote_transfers.push((src, bytes)),
-                        }
-                    }
-                    scan.rows.push((tuple, sign));
                 }
             }
         }
-        Ok(scan)
+        Ok(DeltaPartitionScan {
+            rows,
+            pages_read,
+            tuples_read: tally.tuples_read,
+            remote_lookups: tally.remote_lookups,
+            remote_transfers: tally.remote_transfers,
+        })
     }
 }
 

@@ -25,6 +25,7 @@ use orchestra_common::{
 };
 use orchestra_substrate::RoutingTable;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Configuration of the storage layer.
 #[derive(Clone, Copy, Debug)]
@@ -64,6 +65,15 @@ pub struct PartitionScan {
     pub remote_transfers: Vec<(NodeId, usize)>,
 }
 
+/// Fetch accounting shared by partition scans and delta scans: the
+/// tuple versions fetched and the bytes pulled from each remote holder.
+#[derive(Default)]
+pub(crate) struct FetchTally {
+    pub(crate) tuples_read: usize,
+    pub(crate) remote_lookups: usize,
+    pub(crate) remote_transfers: Vec<(NodeId, usize)>,
+}
+
 /// Result of a full Algorithm 1 retrieval.
 #[derive(Clone, Debug, Default)]
 pub struct RetrievalResult {
@@ -78,9 +88,12 @@ pub struct RetrievalResult {
 
 /// The distributed, replicated, versioned storage layer.
 ///
-/// `Clone` duplicates the entire simulated cluster state; the query
-/// engine uses this to run failure experiments against a scratch copy
-/// without disturbing the caller's store.
+/// `Clone` yields an independent copy of the simulated cluster state at
+/// the cost of one reference count per node, relation and index page:
+/// tuple maps and index pages are shared copy-on-write (see
+/// [`NodeStore`]), so writes to either copy never show in the other.  The
+/// query engine uses this to run failure experiments against a scratch
+/// copy without disturbing the caller's store.
 #[derive(Clone)]
 pub struct DistributedStorage {
     config: StorageConfig,
@@ -274,10 +287,10 @@ impl DistributedStorage {
         for partition in touched {
             let ups = &by_partition[&partition];
             let range = partition_range(partition, parts);
-            let prev_page: Option<IndexPage> = prev_version
+            let prev_page: Option<&IndexPage> = prev_version
                 .as_ref()
                 .and_then(|v| v.pages.iter().find(|d| d.id.partition == partition))
-                .map(|d| self.lookup_index_page(d).cloned())
+                .map(|d| self.lookup_index_page(d))
                 .transpose()?;
 
             let mut removes: Vec<TupleId> = Vec::new();
@@ -313,10 +326,10 @@ impl DistributedStorage {
                 }
             }
 
-            let new_page = match prev_page {
+            let new_page = Rc::new(match prev_page {
                 Some(p) => p.next_version(epoch, &removes, adds),
                 None => IndexPage::new(PageId::new(name, epoch, partition), range, adds),
-            };
+            });
 
             // Write the tuples to their data storage nodes (+ replicas), or
             // to every node for replicated relations.
@@ -341,10 +354,11 @@ impl DistributedStorage {
             }
 
             // Write the index page to the node owning the middle of its
-            // range (+ replicas) and refresh the inverse entries.
+            // range (+ replicas), which share its body, and refresh the
+            // inverse entries.
             let descriptor = new_page.descriptor();
             for node in self.live_replicas(descriptor.storage_key) {
-                self.stores[node.index()].put_index_page(new_page.clone());
+                self.stores[node.index()].put_shared_index_page(Rc::clone(&new_page));
                 self.stores[node.index()].put_inverse(name, partition, new_page.id.clone());
             }
             descriptors.push(descriptor);
@@ -466,24 +480,34 @@ impl DistributedStorage {
         id: &TupleId,
         preferred: Option<NodeId>,
     ) -> Result<(Tuple, Option<NodeId>)> {
-        let hash = id.hash_key();
+        let (tuple, remote) = self.lookup_hashed(relation, id.hash_key(), id, preferred)?;
+        Ok((tuple.clone(), remote))
+    }
+
+    /// [`Self::lookup_tuple`] for a caller that already holds the tuple's
+    /// key hash, borrowing the stored version instead of copying it.
+    fn lookup_hashed(
+        &self,
+        relation: &str,
+        hash: Key160,
+        id: &TupleId,
+        preferred: Option<NodeId>,
+    ) -> Result<(&Tuple, Option<NodeId>)> {
         if let Some(node) = preferred {
             if !self.failed.contains(node) {
                 if let Some(t) = self.stores[node.index()].tuple(relation, hash, id) {
-                    return Ok((t.clone(), None));
+                    return Ok((t, None));
                 }
             }
         }
-        for node in self.live_replicas(hash) {
+        for node in self
+            .live_replicas(hash)
+            .into_iter()
+            .chain(self.live_nodes())
+        {
             if let Some(t) = self.stores[node.index()].tuple(relation, hash, id) {
                 let remote = (preferred != Some(node)).then_some(node);
-                return Ok((t.clone(), remote));
-            }
-        }
-        for node in self.live_nodes() {
-            if let Some(t) = self.stores[node.index()].tuple(relation, hash, id) {
-                let remote = (preferred != Some(node)).then_some(node);
-                return Ok((t.clone(), remote));
+                return Ok((t, remote));
             }
         }
         Err(OrchestraError::StorageMissing(format!(
@@ -510,38 +534,58 @@ impl DistributedStorage {
         node: NodeId,
         ranges: &[KeyRange],
     ) -> Result<PartitionScan> {
-        let mut scan = PartitionScan::default();
         let Some(version_epoch) = self.version_at(relation, epoch) else {
-            return Ok(scan);
+            return Ok(PartitionScan::default());
         };
-        let version = self
-            .lookup_coordinator(&CoordinatorKey::new(relation, version_epoch))?
-            .clone();
+        let version = self.lookup_coordinator(&CoordinatorKey::new(relation, version_epoch))?;
+        let (mut tuples, mut pages_read, mut tally) = (Vec::new(), 0, FetchTally::default());
         for descriptor in &version.pages {
             if !ranges.iter().any(|r| r.overlaps(&descriptor.range)) {
                 continue;
             }
-            let page = self.lookup_index_page(descriptor)?.clone();
-            scan.pages_read += 1;
+            let page = self.lookup_index_page(descriptor)?;
+            pages_read += 1;
             for id in &page.tuple_ids {
-                let hash = id.hash_key();
-                if !ranges.iter().any(|r| r.contains(hash)) {
-                    continue;
+                if let Some(tuple) = self.fetch_in_ranges(relation, id, node, ranges, &mut tally)? {
+                    tuples.push(tuple);
                 }
-                let (tuple, remote) = self.lookup_tuple(relation, id, Some(node))?;
-                scan.tuples_read += 1;
-                if let Some(src) = remote {
-                    scan.remote_lookups += 1;
-                    let bytes = tuple.serialized_size();
-                    match scan.remote_transfers.iter_mut().find(|(n, _)| *n == src) {
-                        Some((_, b)) => *b += bytes,
-                        None => scan.remote_transfers.push((src, bytes)),
-                    }
-                }
-                scan.tuples.push(tuple);
             }
         }
-        Ok(scan)
+        Ok(PartitionScan {
+            tuples,
+            pages_read,
+            tuples_read: tally.tuples_read,
+            remote_lookups: tally.remote_lookups,
+            remote_transfers: tally.remote_transfers,
+        })
+    }
+
+    /// Fetch tuple version `id` for a scan on `node` if its key hash falls
+    /// in `ranges` (`None` otherwise), tallying the fetch and, when a
+    /// replica served it, the bytes it pulled from that replica.
+    pub(crate) fn fetch_in_ranges(
+        &self,
+        relation: &str,
+        id: &TupleId,
+        node: NodeId,
+        ranges: &[KeyRange],
+        tally: &mut FetchTally,
+    ) -> Result<Option<Tuple>> {
+        let hash = id.hash_key();
+        if !ranges.iter().any(|r| r.contains(hash)) {
+            return Ok(None);
+        }
+        let (tuple, remote) = self.lookup_hashed(relation, hash, id, Some(node))?;
+        tally.tuples_read += 1;
+        if let Some(src) = remote {
+            tally.remote_lookups += 1;
+            let bytes = tuple.serialized_size();
+            match tally.remote_transfers.iter_mut().find(|(n, _)| *n == src) {
+                Some((_, b)) => *b += bytes,
+                None => tally.remote_transfers.push((src, bytes)),
+            }
+        }
+        Ok(Some(tuple.clone()))
     }
 
     /// Read the full contents of a *replicated* relation from `node`'s
@@ -584,7 +628,7 @@ impl DistributedStorage {
             .first()
             .copied()
             .ok_or_else(|| OrchestraError::Substrate("no live coordinator owner".into()))?;
-        let version = self.lookup_coordinator(&coord_key)?.clone();
+        let version = self.lookup_coordinator(&coord_key)?;
         // Request to the coordinator and its reply (the page list).
         result.messages.push((requester, coord_node, 64));
         result
@@ -605,8 +649,9 @@ impl DistributedStorage {
                 if !filter(&id.key) {
                     continue;
                 }
+                let hash = id.hash_key();
                 let data_node = self
-                    .live_replicas(id.hash_key())
+                    .live_replicas(hash)
                     .first()
                     .copied()
                     .unwrap_or(index_node);
@@ -617,11 +662,11 @@ impl DistributedStorage {
                         .messages
                         .push((index_node, data_node, id.serialized_size()));
                 }
-                let (tuple, _) = self.lookup_tuple(relation, id, Some(data_node))?;
+                let (tuple, _) = self.lookup_hashed(relation, hash, id, Some(data_node))?;
                 result
                     .messages
                     .push((data_node, requester, tuple.serialized_size()));
-                result.tuples.push(tuple);
+                result.tuples.push(tuple.clone());
             }
         }
         Ok(result)
@@ -854,6 +899,149 @@ mod tests {
         }
         // scan_replicated refuses partitioned relations.
         assert!(s.scan_replicated("R", Epoch(0), NodeId(0)).is_err());
+    }
+
+    /// Everything a reader of `s` can observe about `relations`: their
+    /// version histories, every node's local counts and every node's
+    /// partition scan at the latest epoch.
+    type Observed = (Vec<Vec<Epoch>>, Vec<(usize, usize, usize)>, Vec<Vec<Tuple>>);
+
+    fn observe(s: &DistributedStorage, relations: &[&str]) -> Observed {
+        let nodes = s.routing().nodes();
+        let history = relations
+            .iter()
+            .map(|r| s.version_history(r).to_vec())
+            .collect();
+        let counts = nodes
+            .iter()
+            .map(|n| {
+                let store = s.store(*n);
+                (
+                    store.tuple_count(),
+                    store.index_page_count(),
+                    store.coordinator_count(),
+                )
+            })
+            .collect();
+        let epoch = s.latest_epoch().unwrap();
+        let mut scans = Vec::new();
+        for relation in relations {
+            for node in &nodes {
+                let ranges = s.routing().ranges_of(*node);
+                let mut rows = s
+                    .scan_partition(relation, epoch, *node, &ranges)
+                    .unwrap()
+                    .tuples;
+                rows.sort();
+                scans.push(rows);
+            }
+        }
+        (history, counts, scans)
+    }
+
+    /// A 5-node store holding `R` and `S`, both published at epoch 0.
+    fn two_relation_storage() -> DistributedStorage {
+        let mut s = storage(5);
+        s.register_relation(Relation::partitioned("S", schema()));
+        let mut b = UpdateBatch::new();
+        for i in 0..80 {
+            b.insert("R", r(&format!("r{i}"), "v"));
+            b.insert("S", r(&format!("s{i}"), "v"));
+        }
+        s.publish(&b).unwrap();
+        s
+    }
+
+    fn churn_r(s: &mut DistributedStorage) {
+        let mut b = UpdateBatch::new();
+        b.insert("R", r("new", "x"))
+            .modify("R", r("r3", "changed"))
+            .delete("R", vec![Value::str("r7")]);
+        s.publish(&b).unwrap();
+    }
+
+    #[test]
+    fn publishing_into_a_clone_leaves_the_original_unchanged() {
+        let original = two_relation_storage();
+        let before = observe(&original, &["R", "S"]);
+        let mut copy = original.clone();
+        churn_r(&mut copy);
+        assert_eq!(copy.version_history("R"), &[Epoch(0), Epoch(1)]);
+        assert_ne!(observe(&copy, &["R", "S"]), before);
+        assert_eq!(observe(&original, &["R", "S"]), before);
+        assert_eq!(original.latest_epoch(), Some(Epoch(0)));
+    }
+
+    #[test]
+    fn publishing_into_the_original_leaves_a_clone_unchanged() {
+        let mut original = two_relation_storage();
+        let copy = original.clone();
+        let before = observe(&copy, &["R", "S"]);
+        churn_r(&mut original);
+        assert_eq!(original.version_history("R"), &[Epoch(0), Epoch(1)]);
+        assert_eq!(observe(&copy, &["R", "S"]), before);
+        assert_eq!(copy.latest_epoch(), Some(Epoch(0)));
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_unchanged() {
+        let mut original = two_relation_storage();
+        // Grow the ring so anti-entropy on the clone has work to do.
+        let routing = RoutingTable::build(
+            &(0..6).map(NodeId).collect::<Vec<_>>(),
+            AllocationScheme::Balanced,
+            3,
+        );
+        original.set_routing(routing);
+        let before = observe(&original, &["R", "S"]);
+
+        let mut copy = original.clone();
+        let report = crate::replication::anti_entropy(&mut copy).unwrap();
+        assert!(report.tuples_copied > 0 && report.pages_copied > 0);
+        copy.store_mut(NodeId(1)).clear();
+        let (h, id) = {
+            let id = r("extra", "v").id(1, Epoch(0));
+            (id.hash_key(), id)
+        };
+        copy.store_mut(NodeId(2))
+            .put_tuple("R", h, id, r("extra", "v"));
+        copy.mark_failed(NodeId(3));
+        assert_eq!(copy.store(NodeId(1)).tuple_count(), 0);
+
+        assert_eq!(observe(&original, &["R", "S"]), before);
+        assert!(original.failed_nodes().is_empty());
+        assert_eq!(original.store(NodeId(5)).tuple_count(), 0);
+    }
+
+    #[test]
+    fn clones_share_untouched_relation_maps_only() {
+        let original = two_relation_storage();
+        let mut copy = original.clone();
+        let nodes = original.routing().nodes();
+        for node in &nodes {
+            assert!(copy
+                .store(*node)
+                .shares_relation_with(original.store(*node), "R"));
+            assert!(copy
+                .store(*node)
+                .shares_relation_with(original.store(*node), "S"));
+        }
+        let mut b = UpdateBatch::new();
+        let row = r("only-r", "x");
+        b.insert("R", row.clone());
+        copy.publish(&b).unwrap();
+        let holders = copy.routing().replicas_of(row.hash_key(1));
+        for node in &nodes {
+            let (new, old) = (copy.store(*node), original.store(*node));
+            // S was not published to: shared on every node.
+            assert!(new.shares_relation_with(old, "S"), "S on {node}");
+            // R was written only on the new tuple's replicas.
+            assert_eq!(
+                new.shares_relation_with(old, "R"),
+                !holders.contains(node),
+                "R on {node}"
+            );
+        }
     }
 
     #[test]

@@ -7,24 +7,36 @@
 //! ordered map per relation, which preserves the access pattern the cost
 //! model charges for (point lookups by tuple ID, range scans by tuple-key
 //! hash).
+//!
+//! Index pages and per-relation tuple maps sit behind [`Rc`], so cloning a
+//! store shares them instead of copying them: a clone costs one reference
+//! count per relation and page.  Writes go through [`Rc::make_mut`], which
+//! copies a relation map only when a clone still shares it; index pages
+//! are immutable once written.  The store is single-threaded, like the
+//! simulator, so `Rc` suffices.
 
 use crate::coordinator::{CoordinatorKey, RelationVersion};
 use crate::page::{IndexPage, PageId};
-use orchestra_common::{Key160, KeyRange, NodeId, Tuple, TupleId};
+use orchestra_common::{Epoch, Key160, KeyRange, NodeId, Tuple, TupleId};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::rc::Rc;
+
+/// One relation's tuple versions, keyed `(tuple-key hash, tuple ID)`.
+type TupleMap = BTreeMap<(Key160, TupleId), Tuple>;
 
 /// The state stored locally at a single node.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStore {
     node: Option<NodeId>,
     coordinators: HashMap<CoordinatorKey, RelationVersion>,
-    index_pages: HashMap<PageId, IndexPage>,
+    index_pages: HashMap<PageId, Rc<IndexPage>>,
     /// Per relation: `(tuple-key hash, tuple ID) -> tuple`.  Ordered by
     /// hash so partition scans walk a contiguous range, as the paper's
     /// on-disk layout does ("tuples from each index page are stored nearby
     /// on disk, and are retrieved in a single pass through the hash ID
     /// range for that page").
-    data: HashMap<String, BTreeMap<(Key160, TupleId), Tuple>>,
+    data: HashMap<String, Rc<TupleMap>>,
     /// Latest page version per (relation, partition) — the inverse-node
     /// state used to find the page that lists the current version of a
     /// tuple when applying a modification.
@@ -61,22 +73,26 @@ impl NodeStore {
 
     /// Store an index page body.
     pub fn put_index_page(&mut self, page: IndexPage) {
+        self.put_shared_index_page(Rc::new(page));
+    }
+
+    /// Store an index page body that other nodes' replicas may share.
+    pub(crate) fn put_shared_index_page(&mut self, page: Rc<IndexPage>) {
         self.index_pages.insert(page.id.clone(), page);
     }
 
     /// Fetch an index page body.
     pub fn index_page(&self, id: &PageId) -> Option<&IndexPage> {
-        self.index_pages.get(id)
+        self.index_pages.get(id).map(|p| &**p)
     }
 
     // ----- data storage node state ------------------------------------------
 
-    /// Store a tuple version under its ID.
+    /// Store a tuple version under its ID.  Copies the relation's map
+    /// first if a clone of this store still shares it.
     pub fn put_tuple(&mut self, relation: &str, hash: Key160, id: TupleId, tuple: Tuple) {
-        self.data
-            .entry(relation.to_string())
-            .or_default()
-            .insert((hash, id), tuple);
+        let map = self.data.entry(relation.to_string()).or_default();
+        Rc::make_mut(map).insert((hash, id), tuple);
     }
 
     /// Fetch a tuple version by its ID (and pre-computed key hash).
@@ -95,12 +111,27 @@ impl NodeStore {
         let Some(map) = self.data.get(relation) else {
             return Box::new(std::iter::empty());
         };
-        let range = *range;
-        Box::new(
-            map.iter()
-                .filter(move |((h, _), _)| range.contains(*h))
-                .map(|((h, id), t)| (h, id, t)),
-        )
+        // The smallest map key carrying `hash`: the empty key vector
+        // sorts before every tuple ID.
+        let first_at = |hash: Key160| (hash, TupleId::new(Vec::new(), Epoch(0)));
+        let entries: Box<dyn Iterator<Item = (&'a (Key160, TupleId), &'a Tuple)> + 'a> =
+            if range.is_full() {
+                Box::new(map.iter())
+            } else {
+                let from = Included(first_at(range.start));
+                let to = Excluded(first_at(range.end));
+                if range.start < range.end {
+                    Box::new(map.range((from, to)))
+                } else {
+                    // A wrapping arc is two walks: up to the top of the
+                    // ring, then on from zero.
+                    Box::new(
+                        map.range((from, Unbounded))
+                            .chain(map.range((Unbounded, to))),
+                    )
+                }
+            };
+        Box::new(entries.map(|((h, id), t)| (h, id, t)))
     }
 
     /// All tuple versions of `relation` stored locally.
@@ -140,7 +171,7 @@ impl NodeStore {
 
     /// Number of tuple versions held (across all relations).
     pub fn tuple_count(&self) -> usize {
-        self.data.values().map(BTreeMap::len).sum()
+        self.data.values().map(|map| map.len()).sum()
     }
 
     /// Drop everything — used to model the permanent loss of a failed
@@ -160,7 +191,17 @@ impl NodeStore {
 
     /// Iterate over every index page (used by anti-entropy replication).
     pub fn index_pages(&self) -> impl Iterator<Item = &IndexPage> {
-        self.index_pages.values()
+        self.index_pages.values().map(|p| &**p)
+    }
+
+    /// Does this store share `relation`'s tuple map with `other` (rather
+    /// than hold its own copy)?
+    #[cfg(test)]
+    pub(crate) fn shares_relation_with(&self, other: &NodeStore, relation: &str) -> bool {
+        match (self.data.get(relation), other.data.get(relation)) {
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Iterate over every stored tuple with its relation, hash and ID
@@ -212,6 +253,55 @@ mod tests {
         assert_eq!(scanned, inside);
         assert_eq!(s.all_tuples("R").count(), 50);
         assert_eq!(s.scan_hash_range("T", &range).count(), 0);
+    }
+
+    /// `scan_hash_range` must return exactly the tuples a filter over
+    /// the whole relation would, in hash order.
+    fn assert_scan_matches_filter(s: &NodeStore, range: KeyRange) {
+        let scanned: Vec<Key160> = s.scan_hash_range("R", &range).map(|(h, _, _)| *h).collect();
+        let mut expected: Vec<Key160> = s
+            .all_tuples("R")
+            .map(|(id, _)| id.hash_key())
+            .filter(|h| range.contains(*h))
+            .collect();
+        expected.sort();
+        let mut sorted = scanned.clone();
+        sorted.sort();
+        assert_eq!(sorted, expected, "range {range}");
+        if range.start < range.end || range.is_full() {
+            assert_eq!(scanned, expected, "contiguous walk is hash-ordered");
+        }
+    }
+
+    #[test]
+    fn hash_range_scan_handles_wrapping_arcs_and_the_full_ring() {
+        let mut s = NodeStore::new(NodeId(0));
+        for k in 0..200 {
+            let (h, id, t) = tuple(k);
+            s.put_tuple("R", h, id, t);
+        }
+        // An arc wrapping past 2^160 - 1: the last quarter plus the first.
+        let quarter = Key160::space_divided_by(4);
+        let wrapping = KeyRange::new(quarter.wrapping_mul_small(3), quarter);
+        let wrapped = s.scan_hash_range("R", &wrapping).count();
+        assert!(wrapped > 0 && wrapped < 200, "{wrapped} of 200");
+        assert_scan_matches_filter(&s, wrapping);
+        // An arc ending exactly at zero wraps onto nothing.
+        assert_scan_matches_filter(
+            &s,
+            KeyRange::new(quarter.wrapping_mul_small(3), Key160::ZERO),
+        );
+        // The full ring returns every version.
+        assert_eq!(s.scan_hash_range("R", &KeyRange::full()).count(), 200);
+        assert_scan_matches_filter(&s, KeyRange::full());
+        assert_scan_matches_filter(&s, KeyRange::new(quarter, quarter));
+        // A plain arc whose bounds are stored hashes: start is inclusive,
+        // end exclusive.
+        let mut hashes: Vec<Key160> = s.all_tuples("R").map(|(id, _)| id.hash_key()).collect();
+        hashes.sort();
+        let exact = KeyRange::new(hashes[10], hashes[20]);
+        assert_eq!(s.scan_hash_range("R", &exact).count(), 10);
+        assert_scan_matches_filter(&s, exact);
     }
 
     #[test]
