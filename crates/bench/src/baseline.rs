@@ -1,21 +1,14 @@
 //! The CI baseline-regression gate.
 //!
 //! CI commits a `BENCH_BASELINE.json` — the bench binary's
-//! `--experiment baseline` output (the `plan_quality` and `maintenance`
-//! experiments) at a known-good commit — and the checks here compare a
-//! fresh run against it: every estimated plan cost, every measured
-//! traffic figure ([`check_plan_quality_baseline`]), every
-//! maintenance shipped-bytes total ([`check_maintenance_baseline`]),
-//! every serving point's shipped bytes and cache hit rate
-//! ([`check_serving_baseline`]), every subscriptions sweep's shared
-//! shipped-bytes and delta-derivation totals
-//! ([`check_subscriptions_baseline`]), every gossip convergence
-//! point's rounds and rumor bytes ([`check_churn_baseline`]), and every
-//! adaptivity workload's calibrated predicted-vs-actual error and
-//! drift-recompilation count ([`check_adaptivity_baseline`]) must stay
-//! within `tolerance` (CI uses 5%) of the baseline.  A value moving in the *good* direction —
-//! lower cost/bytes, higher hit rate — always passes; the gate only
-//! catches regressions.
+//! `--experiment baseline` output at a known-good commit — and
+//! [`check_baseline`] compares a fresh run against it.  Every gated
+//! figure is declared in one table, `GATES`: where its rows live in the
+//! document, how a row is keyed, and which way each figure improves.  A
+//! figure must stay within `tolerance` (CI uses 5%) of the baseline in
+//! its bad direction; moving in its good direction — lower cost or
+//! bytes, higher hit rate — always passes, so the gate only catches
+//! regressions.
 //!
 //! Refreshing the baseline after an intentional change is one line:
 //!
@@ -24,75 +17,204 @@
 //! ```
 
 use crate::json::Json;
+use Better::{Higher, Lower};
+use Step::{Each, Field, Label};
 
-/// The `plan_quality` fields gated against the baseline: estimated
-/// optimizer cost and measured traffic, for both the compiled and the
-/// hand-built plan.
-const GATED_FIELDS: [&str; 4] = [
-    "optimized_estimated_bytes",
-    "hand_estimated_bytes",
-    "optimized_bytes",
-    "hand_bytes",
+/// Which way a gated figure improves.
+#[derive(Clone, Copy)]
+enum Better {
+    /// Costs, bytes, rounds, errors, recompilations.
+    Lower,
+    /// Cache hit rates.
+    Higher,
+}
+
+/// One step of a gate's path from the document root to its rows.
+enum Step {
+    /// Descend into an object member.
+    Field(&'static str),
+    /// Fan out over an array's items, appending each item's key parts to
+    /// the row key.
+    Each(&'static [KeyPart]),
+    /// Append fixed text to the row key (a row that is a single object).
+    Label(&'static str),
+}
+
+/// One piece of a row key: fixed text followed by an item's member —
+/// a number with this many decimals, or (`None`) a string verbatim.
+struct KeyPart(&'static str, &'static str, Option<usize>);
+
+/// One gated section of the baseline document.
+struct Gate {
+    /// What a row is called in log lines.
+    row: &'static str,
+    /// Where the rows live, and how each is keyed.
+    path: &'static [Step],
+    /// The gated figures of every row.
+    fields: &'static [(&'static str, Better)],
+}
+
+/// Every gated figure, in log order.
+const GATES: &[Gate] = &[
+    // Estimated optimizer cost and measured traffic of the compiled and
+    // the hand-built plan, per workload.
+    Gate {
+        row: "workload",
+        path: &[
+            Field("experiments"),
+            Each(&[KeyPart("", "workload", None)]),
+            Field("plan_quality"),
+        ],
+        fields: &[
+            ("optimized_estimated_bytes", Lower),
+            ("hand_estimated_bytes", Lower),
+            ("optimized_bytes", Lower),
+            ("hand_bytes", Lower),
+        ],
+    },
+    // Shipped bytes of both refresh strategies, per maintenance sweep.
+    Gate {
+        row: "maintenance sweep",
+        path: &[
+            Field("experiments"),
+            Each(&[KeyPart("", "workload", None)]),
+            Field("maintenance"),
+            Field("sweeps"),
+            Each(&[KeyPart("/", "label", None)]),
+        ],
+        fields: &[
+            ("total_incremental_bytes", Lower),
+            ("total_recompute_bytes", Lower),
+        ],
+    },
+    // Shipped bytes and result-cache hit rate, per serving point.
+    Gate {
+        row: "serving point",
+        path: &[
+            Field("serving"),
+            Field("points"),
+            Each(&[
+                KeyPart("skew=", "zipf_exponent", Some(2)),
+                KeyPart(" load=", "load_factor", Some(2)),
+                KeyPart(" cap=", "cache_capacity", Some(0)),
+            ]),
+        ],
+        fields: &[("total_bytes", Lower), ("cache_hit_rate", Higher)],
+    },
+    // Shared-maintenance bytes and delta derivations, per fan-out sweep:
+    // more of either is a regression of the sharing machinery.
+    Gate {
+        row: "subscriptions sweep",
+        path: &[
+            Field("subscriptions"),
+            Field("sweeps"),
+            Each(&[
+                KeyPart("", "label", None),
+                KeyPart("/subs=", "subscribers", Some(0)),
+            ]),
+        ],
+        fields: &[
+            ("total_shared_bytes", Lower),
+            ("total_shared_derivations", Lower),
+        ],
+    },
+    // Gossip rounds to uniform membership and rumor bytes spent, per
+    // convergence point…
+    Gate {
+        row: "churn point",
+        path: &[
+            Field("churn"),
+            Field("convergence"),
+            Each(&[KeyPart("n=", "nodes", Some(0))]),
+        ],
+        fields: &[("rounds", Lower), ("rumor_bytes", Lower)],
+    },
+    // …and over the whole experiment, sustained scenario included.
+    Gate {
+        row: "churn point",
+        path: &[Field("churn"), Label("totals")],
+        fields: &[
+            ("total_convergence_rounds", Lower),
+            ("total_rumor_bytes", Lower),
+        ],
+    },
+    // Calibrated predicted-vs-actual error and drift recompilations, per
+    // adaptivity workload.
+    Gate {
+        row: "adaptivity workload",
+        path: &[
+            Field("adaptivity"),
+            Field("workloads"),
+            Each(&[KeyPart("", "workload", None)]),
+        ],
+        fields: &[("final_cardinality_error", Lower), ("recompiles", Lower)],
+    },
 ];
 
+/// Absolute slack on every comparison, so an exactly-zero baseline does
+/// not gate on floating-point dust.
+const SLACK: f64 = 1e-9;
+
 /// Compare `current` against `baseline` (both in the bench binary's
-/// document shape).  Returns the per-field log lines on success, or the
-/// list of violations if any gated field regressed beyond `tolerance`
-/// (a fraction: 0.05 allows +5%), a workload disappeared, or either
-/// document is malformed.
-pub fn check_plan_quality_baseline(
+/// document shape) on every figure of `GATES`.  Returns one log line
+/// per gated figure on success, or the violations if any figure
+/// regressed beyond `tolerance` (a fraction: 0.05 allows 5%), a row or
+/// figure disappeared, or either document lacks a gated section.
+pub fn check_baseline(
     current: &Json,
     baseline: &Json,
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
     let mut passed = Vec::new();
     let mut violations = Vec::new();
-
-    let baseline_workloads = match workloads_of(baseline) {
-        Ok(w) => w,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_workloads = match workloads_of(current) {
-        Ok(w) => w,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (name, base_quality) in &baseline_workloads {
-        let Some(cur_quality) = current_workloads
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, q)| q)
-        else {
-            violations.push(format!(
-                "workload {name} present in the baseline but missing from the current run"
-            ));
-            continue;
+    for gate in GATES {
+        let (base_rows, cur_rows) = match (rows(baseline, gate.path), rows(current, gate.path)) {
+            (Ok(b), Ok(c)) => (b, c),
+            (Err(e), _) => {
+                violations.push(format!("baseline document: {}s: {e}", gate.row));
+                continue;
+            }
+            (_, Err(e)) => {
+                violations.push(format!("current document: {}s: {e}", gate.row));
+                continue;
+            }
         };
-        for field in GATED_FIELDS {
-            let (Some(base), Some(cur)) = (
-                base_quality.get(field).and_then(Json::as_f64),
-                cur_quality.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("workload {name}: field {field} missing"));
+        for (key, base_row) in &base_rows {
+            let row = format!("{} {key}", gate.row);
+            let Some((_, cur_row)) = cur_rows.iter().find(|(k, _)| k == key) else {
+                violations.push(format!(
+                    "{row} present in the baseline but missing from the current run"
+                ));
                 continue;
             };
-            let limit = base * (1.0 + tolerance);
-            if cur > limit {
-                violations.push(format!(
-                    "workload {name}: {field} regressed {cur:.0} > {base:.0} (+{:.1}% \
-                     exceeds the {:.0}% tolerance)",
-                    (cur / base - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "workload {name}: {field} {cur:.0} within {base:.0} +{:.0}%",
-                    tolerance * 100.0
-                ));
+            for &(field, better) in gate.fields {
+                let (Some(base), Some(cur)) = (
+                    base_row.get(field).and_then(Json::as_f64),
+                    cur_row.get(field).and_then(Json::as_f64),
+                ) else {
+                    violations.push(format!("{row}: field {field} missing"));
+                    continue;
+                };
+                let (regressed, sign) = match better {
+                    Lower => (cur > base * (1.0 + tolerance) + SLACK, '+'),
+                    Higher => (cur < base * (1.0 - tolerance) - SLACK, '-'),
+                };
+                if regressed {
+                    violations.push(format!(
+                        "{row}: {field} regressed {cur} vs {base} ({:+.1}% exceeds the {:.0}% \
+                         tolerance)",
+                        (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
+                        tolerance * 100.0
+                    ));
+                } else {
+                    passed.push(format!(
+                        "{row}: {field} {cur} within {base} {sign}{:.0}%",
+                        tolerance * 100.0
+                    ));
+                }
             }
         }
     }
-
     if violations.is_empty() {
         Ok(passed)
     } else {
@@ -100,807 +222,305 @@ pub fn check_plan_quality_baseline(
     }
 }
 
-/// The `maintenance` fields gated per (workload, sweep): the measured
-/// shipped-byte totals of both refresh strategies.
-const GATED_MAINTENANCE_FIELDS: [&str; 2] = ["total_incremental_bytes", "total_recompute_bytes"];
-
-/// Compare the `maintenance` sections of `current` against `baseline`:
-/// per workload and sweep label, both measured shipped-bytes totals must
-/// stay within `tolerance` of the baseline (lower is always fine).
-pub fn check_maintenance_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_sweeps = match maintenance_sweeps_of(baseline) {
-        Ok(s) => s,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_sweeps = match maintenance_sweeps_of(current) {
-        Ok(s) => s,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (key, base_sweep) in &baseline_sweeps {
-        let Some(cur_sweep) = current_sweeps
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, s)| s)
-        else {
-            violations.push(format!(
-                "maintenance sweep {key} present in the baseline but missing from the \
-                 current run"
-            ));
-            continue;
-        };
-        for field in GATED_MAINTENANCE_FIELDS {
-            let (Some(base), Some(cur)) = (
-                base_sweep.get(field).and_then(Json::as_f64),
-                cur_sweep.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("maintenance sweep {key}: field {field} missing"));
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) {
-                violations.push(format!(
-                    "maintenance sweep {key}: {field} regressed {cur:.0} > {base:.0} \
-                     (+{:.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "maintenance sweep {key}: {field} {cur:.0} within {base:.0} +{:.0}%",
-                    tolerance * 100.0
-                ));
+/// The `(row key, row object)` pairs `path` reaches in `doc`; an error if
+/// a step finds no member, array or key part, or if there are no rows.
+fn rows<'a>(doc: &'a Json, path: &[Step]) -> Result<Vec<(String, &'a Json)>, String> {
+    let mut rows = vec![(String::new(), doc)];
+    for step in path {
+        let mut next = Vec::with_capacity(rows.len());
+        for (key, node) in rows {
+            match step {
+                Field(name) => {
+                    let member = node
+                        .get(name)
+                        .ok_or_else(|| format!("no \"{name}\" member at \"{key}\""))?;
+                    next.push((key, member));
+                }
+                Label(text) => next.push((key + text, node)),
+                Each(parts) => {
+                    let items = node
+                        .items()
+                        .ok_or_else(|| format!("no array at \"{key}\""))?;
+                    for item in items {
+                        let mut key = key.clone();
+                        for &KeyPart(text, field, decimals) in *parts {
+                            let member = item.get(field);
+                            let value = match decimals {
+                                None => member.and_then(Json::as_str_val).map(String::from),
+                                Some(d) => {
+                                    member.and_then(Json::as_f64).map(|v| format!("{v:.d$}"))
+                                }
+                            };
+                            let value = value.ok_or_else(|| {
+                                format!("an item at \"{key}\" has no \"{field}\"")
+                            })?;
+                            key.push_str(text);
+                            key.push_str(&value);
+                        }
+                        next.push((key, item));
+                    }
+                }
             }
         }
+        rows = next;
     }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
+    if rows.is_empty() {
+        return Err("no rows".into());
     }
-}
-
-/// Compare the top-level `serving` sections of `current` against
-/// `baseline`: per (skew, load, capacity) point, total shipped bytes
-/// must not rise beyond `tolerance`, and — the direction is inverted,
-/// because higher is better — the cache hit rate must not *fall* below
-/// `baseline × (1 − tolerance)`.  Fewer bytes or more hits always pass.
-pub fn check_serving_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_points = match serving_points_of(baseline) {
-        Ok(p) => p,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_points = match serving_points_of(current) {
-        Ok(p) => p,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (key, base_point) in &baseline_points {
-        let Some(cur_point) = current_points
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, p)| p)
-        else {
-            violations.push(format!(
-                "serving point {key} present in the baseline but missing from the current run"
-            ));
-            continue;
-        };
-        for (field, higher_is_better) in [("total_bytes", false), ("cache_hit_rate", true)] {
-            let (Some(base), Some(cur)) = (
-                base_point.get(field).and_then(Json::as_f64),
-                cur_point.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("serving point {key}: field {field} missing"));
-                continue;
-            };
-            let regressed = if higher_is_better {
-                cur < base * (1.0 - tolerance)
-            } else {
-                cur > base * (1.0 + tolerance)
-            };
-            if regressed {
-                violations.push(format!(
-                    "serving point {key}: {field} regressed {cur:.3} vs {base:.3} \
-                     ({:+.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "serving point {key}: {field} {cur:.3} within {base:.3} ±{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// The `subscriptions` fields gated per (churn label, subscriber
-/// count): the shared path's shipped-byte and delta-derivation totals.
-/// Both gate *upward* — shipping more maintenance bytes or deriving
-/// more deltas per epoch than the committed baseline is a regression of
-/// the fan-out sharing machinery; fewer of either always passes.
-const GATED_SUBSCRIPTION_FIELDS: [&str; 2] = ["total_shared_bytes", "total_shared_derivations"];
-
-/// Compare the top-level `subscriptions` sections of `current` against
-/// `baseline`: per (churn label, subscriber count) sweep, the shared
-/// maintenance shipped-byte total and the shared delta-derivation total
-/// must not rise beyond `tolerance` (lower is always fine).
-pub fn check_subscriptions_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_sweeps = match subscription_sweeps_of(baseline) {
-        Ok(s) => s,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_sweeps = match subscription_sweeps_of(current) {
-        Ok(s) => s,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (key, base_sweep) in &baseline_sweeps {
-        let Some(cur_sweep) = current_sweeps
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, s)| s)
-        else {
-            violations.push(format!(
-                "subscriptions sweep {key} present in the baseline but missing from the \
-                 current run"
-            ));
-            continue;
-        };
-        for field in GATED_SUBSCRIPTION_FIELDS {
-            let (Some(base), Some(cur)) = (
-                base_sweep.get(field).and_then(Json::as_f64),
-                cur_sweep.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("subscriptions sweep {key}: field {field} missing"));
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) {
-                violations.push(format!(
-                    "subscriptions sweep {key}: {field} regressed {cur:.0} > {base:.0} \
-                     (+{:.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "subscriptions sweep {key}: {field} {cur:.0} within {base:.0} +{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// The `churn` fields gated per convergence point — rounds to uniform
-/// membership and rumor bytes spent getting there — plus the
-/// experiment-wide totals.  All gate *upward*: more rounds or more
-/// gossip traffic than the committed baseline is a dissemination
-/// regression; converging faster or cheaper always passes.
-const GATED_CHURN_FIELDS: [&str; 2] = ["rounds", "rumor_bytes"];
-const GATED_CHURN_TOTALS: [&str; 2] = ["total_convergence_rounds", "total_rumor_bytes"];
-
-/// Compare the top-level `churn` sections of `current` against
-/// `baseline`: per convergence point (keyed by cluster size), rounds
-/// and rumor bytes must not rise beyond `tolerance`, and the same holds
-/// for the experiment-wide totals (which also cover the sustained
-/// scenario's epochs).
-pub fn check_churn_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_points = match churn_points_of(baseline) {
-        Ok(p) => p,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_points = match churn_points_of(current) {
-        Ok(p) => p,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (key, base_point) in &baseline_points {
-        let Some(cur_point) = current_points
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, p)| p)
-        else {
-            violations.push(format!(
-                "churn point {key} present in the baseline but missing from the current run"
-            ));
-            continue;
-        };
-        let fields: &[&str] = if key == "totals" {
-            &GATED_CHURN_TOTALS
-        } else {
-            &GATED_CHURN_FIELDS
-        };
-        for field in fields {
-            let (Some(base), Some(cur)) = (
-                base_point.get(field).and_then(Json::as_f64),
-                cur_point.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("churn point {key}: field {field} missing"));
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) {
-                violations.push(format!(
-                    "churn point {key}: {field} regressed {cur:.0} > {base:.0} \
-                     (+{:.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "churn point {key}: {field} {cur:.0} within {base:.0} +{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// The `adaptivity` fields gated per workload.  Both gate *upward*: a
-/// higher calibrated predicted-vs-actual cardinality error means the
-/// feedback loop learns less from the same stream, and more drift
-/// recompilations than the committed baseline means the monitor became
-/// trigger-happy (each recompile pays a dissemination epoch).  Lower is
-/// always fine.
-const GATED_ADAPTIVITY_FIELDS: [&str; 2] = ["final_cardinality_error", "recompiles"];
-
-/// Compare the top-level `adaptivity` sections of `current` against
-/// `baseline`: per workload, the end-of-stream cardinality error and
-/// the drift-recompilation count must not rise beyond `tolerance`
-/// (plus a tiny absolute slack so an exactly-zero baseline error does
-/// not gate on floating-point dust).
-pub fn check_adaptivity_baseline(
-    current: &Json,
-    baseline: &Json,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut passed = Vec::new();
-    let mut violations = Vec::new();
-
-    let baseline_workloads = match adaptivity_workloads_of(baseline) {
-        Ok(w) => w,
-        Err(e) => return Err(vec![format!("baseline document: {e}")]),
-    };
-    let current_workloads = match adaptivity_workloads_of(current) {
-        Ok(w) => w,
-        Err(e) => return Err(vec![format!("current document: {e}")]),
-    };
-
-    for (name, base_entry) in &baseline_workloads {
-        let Some(cur_entry) = current_workloads
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, e)| e)
-        else {
-            violations.push(format!(
-                "adaptivity workload {name} present in the baseline but missing from the \
-                 current run"
-            ));
-            continue;
-        };
-        for field in GATED_ADAPTIVITY_FIELDS {
-            let (Some(base), Some(cur)) = (
-                base_entry.get(field).and_then(Json::as_f64),
-                cur_entry.get(field).and_then(Json::as_f64),
-            ) else {
-                violations.push(format!("adaptivity workload {name}: field {field} missing"));
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) + 1e-9 {
-                violations.push(format!(
-                    "adaptivity workload {name}: {field} regressed {cur:.4} > {base:.4} \
-                     (+{:.1}% exceeds the {:.0}% tolerance)",
-                    (cur / base.max(f64::MIN_POSITIVE) - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            } else {
-                passed.push(format!(
-                    "adaptivity workload {name}: {field} {cur:.4} within {base:.4} +{:.0}%",
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-
-    if violations.is_empty() {
-        Ok(passed)
-    } else {
-        Err(violations)
-    }
-}
-
-/// Extract `(workload name, workload entry)` pairs from a bench
-/// document's top-level `adaptivity` section.
-fn adaptivity_workloads_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let workloads = doc
-        .get("adaptivity")
-        .ok_or("no \"adaptivity\" section")?
-        .get("workloads")
-        .and_then(Json::items)
-        .ok_or("adaptivity section has no \"workloads\" array")?;
-    let mut out = Vec::with_capacity(workloads.len());
-    for entry in workloads {
-        let name = entry
-            .get("workload")
-            .and_then(Json::as_str_val)
-            .ok_or("adaptivity workload entry without a \"workload\" name")?;
-        out.push((name.to_string(), entry));
-    }
-    if out.is_empty() {
-        return Err("empty adaptivity \"workloads\" array".into());
-    }
-    Ok(out)
-}
-
-/// Extract `("n=<size>", point)` pairs from a bench document's
-/// top-level `churn` section, plus a synthetic `("totals", churn
-/// object)` entry carrying the experiment-wide totals.
-fn churn_points_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let churn = doc.get("churn").ok_or("no \"churn\" section")?;
-    let points = churn
-        .get("convergence")
-        .and_then(Json::items)
-        .ok_or("churn section has no \"convergence\" array")?;
-    let mut out = Vec::with_capacity(points.len() + 1);
-    for point in points {
-        let nodes = point
-            .get("nodes")
-            .and_then(Json::as_f64)
-            .ok_or("churn convergence point without a \"nodes\" count")?;
-        out.push((format!("n={nodes:.0}"), point));
-    }
-    if out.is_empty() {
-        return Err("empty churn \"convergence\" array".into());
-    }
-    out.push(("totals".to_string(), churn));
-    Ok(out)
-}
-
-/// Extract `("label/subs=N", sweep object)` pairs from a bench
-/// document's top-level `subscriptions` section.
-fn subscription_sweeps_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let sweeps = doc
-        .get("subscriptions")
-        .ok_or("no \"subscriptions\" section")?
-        .get("sweeps")
-        .and_then(Json::items)
-        .ok_or("subscriptions section has no \"sweeps\" array")?;
-    let mut out = Vec::with_capacity(sweeps.len());
-    for sweep in sweeps {
-        let label = sweep
-            .get("label")
-            .and_then(Json::as_str_val)
-            .ok_or("subscriptions sweep without a \"label\"")?;
-        let subs = sweep
-            .get("subscribers")
-            .and_then(Json::as_f64)
-            .ok_or("subscriptions sweep without a \"subscribers\" count")?;
-        out.push((format!("{label}/subs={subs:.0}"), sweep));
-    }
-    if out.is_empty() {
-        return Err("empty subscriptions \"sweeps\" array".into());
-    }
-    Ok(out)
-}
-
-/// Extract `("skew=… load=… cap=…", point object)` pairs from a bench
-/// document's top-level `serving` section.
-fn serving_points_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let points = doc
-        .get("serving")
-        .ok_or("no \"serving\" section")?
-        .get("points")
-        .and_then(Json::items)
-        .ok_or("serving section has no \"points\" array")?;
-    let mut out = Vec::with_capacity(points.len());
-    for point in points {
-        let skew = point
-            .get("zipf_exponent")
-            .and_then(Json::as_f64)
-            .ok_or("serving point without a \"zipf_exponent\"")?;
-        let load = point
-            .get("load_factor")
-            .and_then(Json::as_f64)
-            .ok_or("serving point without a \"load_factor\"")?;
-        let cap = point
-            .get("cache_capacity")
-            .and_then(Json::as_f64)
-            .ok_or("serving point without a \"cache_capacity\"")?;
-        out.push((format!("skew={skew:.2} load={load:.2} cap={cap:.0}"), point));
-    }
-    if out.is_empty() {
-        return Err("empty serving \"points\" array".into());
-    }
-    Ok(out)
-}
-
-/// Extract `("workload/sweep-label", sweep object)` pairs from a bench
-/// document's per-workload `maintenance` sections.
-fn maintenance_sweeps_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let experiments = doc
-        .get("experiments")
-        .and_then(Json::items)
-        .ok_or("no \"experiments\" array")?;
-    let mut out = Vec::new();
-    for entry in experiments {
-        let name = entry
-            .get("workload")
-            .and_then(Json::as_str_val)
-            .ok_or("experiment entry without a \"workload\" name")?;
-        let maintenance = entry
-            .get("maintenance")
-            .ok_or_else(|| format!("workload {name} has no \"maintenance\" section"))?;
-        let sweeps = maintenance
-            .get("sweeps")
-            .and_then(Json::items)
-            .ok_or_else(|| format!("workload {name}: maintenance has no \"sweeps\" array"))?;
-        for sweep in sweeps {
-            let label = sweep
-                .get("label")
-                .and_then(Json::as_str_val)
-                .ok_or_else(|| format!("workload {name}: maintenance sweep without a label"))?;
-            out.push((format!("{name}/{label}"), sweep));
-        }
-    }
-    if out.is_empty() {
-        return Err("no maintenance sweeps".into());
-    }
-    Ok(out)
-}
-
-/// Extract `(workload name, plan_quality object)` pairs from a bench
-/// document.
-fn workloads_of(doc: &Json) -> Result<Vec<(String, &Json)>, String> {
-    let experiments = doc
-        .get("experiments")
-        .and_then(Json::items)
-        .ok_or("no \"experiments\" array")?;
-    let mut out = Vec::with_capacity(experiments.len());
-    for entry in experiments {
-        let name = entry
-            .get("workload")
-            .and_then(Json::as_str_val)
-            .ok_or("experiment entry without a \"workload\" name")?;
-        let quality = entry
-            .get("plan_quality")
-            .ok_or_else(|| format!("workload {name} has no \"plan_quality\" section"))?;
-        out.push((name.to_string(), quality));
-    }
-    if out.is_empty() {
-        return Err("empty \"experiments\" array".into());
-    }
-    Ok(out)
+    Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(optimized_bytes: f64) -> Json {
-        Json::object(vec![(
-            "experiments",
-            Json::Array(vec![Json::object(vec![
-                ("workload", Json::str("tpch-q3")),
-                (
-                    "plan_quality",
-                    Json::object(vec![
-                        ("optimized_estimated_bytes", Json::Float(1000.0)),
-                        ("hand_estimated_bytes", Json::Float(2000.0)),
-                        ("optimized_bytes", Json::Float(optimized_bytes)),
-                        ("hand_bytes", Json::Float(3000.0)),
-                    ]),
-                ),
-            ])]),
-        )])
+    const TOLERANCE: f64 = 0.05;
+
+    fn committed() -> Json {
+        Json::parse(include_str!("../../../BENCH_BASELINE.json")).expect("baseline parses")
+    }
+
+    /// The row objects `path` reaches, mutably, in document order.
+    fn rows_mut<'a>(node: &'a mut Json, path: &[Step], out: &mut Vec<&'a mut Json>) {
+        match path.split_first() {
+            None => out.push(node),
+            Some((Label(_), rest)) => rows_mut(node, rest, out),
+            Some((Field(name), rest)) => {
+                if let Json::Object(pairs) = node {
+                    if let Some((_, v)) = pairs.iter_mut().find(|(k, _)| k == name) {
+                        rows_mut(v, rest, out);
+                    }
+                }
+            }
+            Some((Each(_), rest)) => {
+                if let Json::Array(items) = node {
+                    for item in items {
+                        rows_mut(item, rest, out);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One gated figure of a document.
+    struct Figure {
+        gate: &'static Gate,
+        row: usize,
+        /// `"<row> <key>: <field>"`, as the log lines name it.
+        name: String,
+        field: &'static str,
+    }
+
+    impl Figure {
+        /// `doc` with this figure moved by `by(value)` in its bad
+        /// direction (a negative move is in its good direction).  The
+        /// direction is restated here, independently of `GATES`: only hit
+        /// rates improve upward.
+        fn moved(&self, doc: &Json, by: impl Fn(f64) -> f64) -> Json {
+            let mut doc = doc.clone();
+            let mut rows = Vec::new();
+            rows_mut(&mut doc, self.gate.path, &mut rows);
+            let Json::Object(pairs) = &mut *rows.swap_remove(self.row) else {
+                panic!("{} is not in an object", self.name);
+            };
+            let (_, value) = pairs.iter_mut().find(|(k, _)| k == self.field).unwrap();
+            let v = value.as_f64().unwrap();
+            let bad = if self.field == "cache_hit_rate" {
+                -1.0
+            } else {
+                1.0
+            };
+            *value = Json::Float(v + bad * by(v));
+            doc
+        }
+    }
+
+    /// Every gated figure of `doc`, in log order.
+    fn figures(doc: &Json) -> Vec<Figure> {
+        let mut out = Vec::new();
+        for gate in GATES {
+            for (row, (key, _)) in rows(doc, gate.path).unwrap().iter().enumerate() {
+                for &(field, _) in gate.fields {
+                    let name = format!("{} {key}: {field}", gate.row);
+                    out.push(Figure {
+                        gate,
+                        row,
+                        name,
+                        field,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Moving each committed figure whose rows are called `row` alone by
+    /// 10% in its bad direction (a zero figure by 0.01) gives exactly one
+    /// violation, naming it; moving it as far in its good direction
+    /// passes.  Returns how many figures were checked.
+    fn assert_gated(row: &str) -> usize {
+        let doc = committed();
+        let step = |v: f64| if v == 0.0 { 0.01 } else { 0.1 * v.abs() };
+        let figures: Vec<Figure> = figures(&doc)
+            .into_iter()
+            .filter(|f| f.gate.row == row)
+            .collect();
+        for f in &figures {
+            let violations = check_baseline(&f.moved(&doc, step), &doc, TOLERANCE).unwrap_err();
+            assert_eq!(violations.len(), 1, "{violations:?}");
+            let named = format!("{} regressed", f.name);
+            assert!(violations[0].starts_with(&named), "{violations:?}");
+            let improved = f.moved(&doc, |v| -step(v));
+            assert!(
+                check_baseline(&improved, &doc, TOLERANCE).is_ok(),
+                "{}",
+                f.name
+            );
+        }
+        figures.len()
+    }
+
+    #[test]
+    fn committed_baseline_passes_against_itself_on_all_72_figures() {
+        let doc = committed();
+        let passed = check_baseline(&doc, &doc, TOLERANCE).unwrap();
+        assert_eq!(passed.len(), 72, "{passed:#?}");
+        let figures = figures(&doc);
+        assert_eq!(figures.len(), 72);
+        for (line, f) in passed.iter().zip(&figures) {
+            assert!(line.starts_with(&format!("{} ", f.name)), "{line}");
+        }
+        // Row keys render as the log lines have always named them.
+        for name in [
+            "workload tpch-q3: hand_bytes",
+            "maintenance sweep stbenchmark-copy/heavy-churn: total_recompute_bytes",
+            "serving point skew=1.20 load=2.00 cap=6: cache_hit_rate",
+            "subscriptions sweep heavy-churn/subs=64: total_shared_derivations",
+            "churn point n=1000: rumor_bytes",
+            "churn point totals: total_rumor_bytes",
+            "adaptivity workload tpch-q3: final_cardinality_error",
+        ] {
+            assert!(figures.iter().any(|f| f.name == name), "{name}");
+        }
     }
 
     #[test]
     fn within_tolerance_passes() {
-        let baseline = doc(1000.0);
-        let current = doc(1049.0); // +4.9%
-        let passed = check_plan_quality_baseline(&current, &baseline, 0.05).unwrap();
-        assert_eq!(passed.len(), 4);
-        // Improvements always pass.
-        assert!(check_plan_quality_baseline(&doc(10.0), &baseline, 0.05).is_ok());
+        let doc = committed();
+        for f in figures(&doc) {
+            let current = f.moved(&doc, |v| 0.049 * v.abs());
+            assert!(
+                check_baseline(&current, &doc, TOLERANCE).is_ok(),
+                "{}",
+                f.name
+            );
+        }
     }
 
     #[test]
     fn regressions_beyond_tolerance_fail_with_the_offending_field() {
-        let baseline = doc(1000.0);
-        let current = doc(1051.0); // +5.1%
-        let violations = check_plan_quality_baseline(&current, &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("optimized_bytes"), "{violations:?}");
-        assert!(violations[0].contains("tpch-q3"), "{violations:?}");
-    }
+        // Plan quality: estimated and measured bytes of both plans.
+        assert_eq!(assert_gated("workload"), 12);
 
-    fn maintenance_doc(incremental: f64) -> Json {
-        Json::object(vec![(
-            "experiments",
-            Json::Array(vec![Json::object(vec![
-                ("workload", Json::str("tpch-q1")),
-                (
-                    "maintenance",
-                    Json::object(vec![(
-                        "sweeps",
-                        Json::Array(vec![Json::object(vec![
-                            ("label", Json::str("small-delta")),
-                            ("total_incremental_bytes", Json::Float(incremental)),
-                            ("total_recompute_bytes", Json::Float(9000.0)),
-                        ])]),
-                    )]),
-                ),
-            ])]),
-        )])
+        // A zero baseline passes at zero and at floating-point dust, and
+        // fails at 0.01 with a finite percentage (the divisor is guarded).
+        let doc = committed();
+        let f = figures(&doc)
+            .into_iter()
+            .find(|f| f.name == "workload tpch-q1: optimized_bytes")
+            .unwrap();
+        let zero = f.moved(&doc, |v| -v);
+        assert!(check_baseline(&zero, &zero, TOLERANCE).is_ok());
+        let dust = f.moved(&zero, |_| 1e-12);
+        assert!(check_baseline(&dust, &zero, TOLERANCE).is_ok());
+        let risen = f.moved(&zero, |_| 0.01);
+        let violations = check_baseline(&risen, &zero, TOLERANCE).unwrap_err();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with(&f.name), "{violations:?}");
+        assert!(!violations[0].contains("inf"), "{violations:?}");
     }
 
     #[test]
     fn maintenance_totals_are_gated_per_sweep() {
-        let baseline = maintenance_doc(1000.0);
-        let ok = check_maintenance_baseline(&maintenance_doc(1040.0), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 2);
-        let violations =
-            check_maintenance_baseline(&maintenance_doc(1100.0), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("tpch-q1/small-delta"),
-            "{violations:?}"
-        );
-        // A document without maintenance sections is malformed.
-        let bare = Json::object(vec![(
-            "experiments",
-            Json::Array(vec![Json::object(vec![("workload", Json::str("x"))])]),
-        )]);
-        assert!(check_maintenance_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    fn serving_doc(total_bytes: u64, hit_rate: f64) -> Json {
-        Json::object(vec![(
-            "serving",
-            Json::object(vec![(
-                "points",
-                Json::Array(vec![Json::object(vec![
-                    ("zipf_exponent", Json::Float(1.2)),
-                    ("load_factor", Json::Float(2.0)),
-                    ("cache_capacity", Json::UInt(5)),
-                    ("total_bytes", Json::UInt(total_bytes)),
-                    ("cache_hit_rate", Json::Float(hit_rate)),
-                ])]),
-            )]),
-        )])
+        assert_eq!(assert_gated("maintenance sweep"), 12);
     }
 
     #[test]
     fn serving_points_gate_bytes_up_and_hit_rate_down() {
-        let baseline = serving_doc(10_000, 0.80);
-        // Within tolerance both ways.
-        let ok = check_serving_baseline(&serving_doc(10_400, 0.77), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 2);
-        // Better in both directions always passes.
-        assert!(check_serving_baseline(&serving_doc(5_000, 0.95), &baseline, 0.05).is_ok());
-        // More bytes shipped is a regression…
-        let violations =
-            check_serving_baseline(&serving_doc(11_000, 0.80), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("total_bytes"), "{violations:?}");
-        assert!(
-            violations[0].contains("skew=1.20 load=2.00 cap=5"),
-            "{violations:?}"
-        );
-        // …and so is a *falling* hit rate.
-        let violations =
-            check_serving_baseline(&serving_doc(10_000, 0.70), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("cache_hit_rate"), "{violations:?}");
-        // A document without a serving section is malformed.
-        let bare = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_serving_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    fn subscriptions_doc(shared_bytes: u64, derivations: u64) -> Json {
-        Json::object(vec![(
-            "subscriptions",
-            Json::object(vec![(
-                "sweeps",
-                Json::Array(vec![Json::object(vec![
-                    ("label", Json::str("small-delta")),
-                    ("subscribers", Json::UInt(64)),
-                    ("total_shared_bytes", Json::UInt(shared_bytes)),
-                    ("total_shared_derivations", Json::UInt(derivations)),
-                ])]),
-            )]),
-        )])
+        // Includes the cache-off points, whose zero hit rate gates too.
+        assert_eq!(assert_gated("serving point"), 24);
     }
 
     #[test]
     fn subscription_sweeps_gate_shared_bytes_and_derivations_upward() {
-        let baseline = subscriptions_doc(10_000, 5);
-        // Within tolerance, and improvements, pass.
-        let ok =
-            check_subscriptions_baseline(&subscriptions_doc(10_400, 5), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 2);
-        assert!(
-            check_subscriptions_baseline(&subscriptions_doc(4_000, 1), &baseline, 0.05).is_ok()
-        );
-        // Shipping more shared-maintenance bytes is a regression…
-        let violations =
-            check_subscriptions_baseline(&subscriptions_doc(11_000, 5), &baseline, 0.05)
-                .unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("total_shared_bytes"),
-            "{violations:?}"
-        );
-        assert!(
-            violations[0].contains("small-delta/subs=64"),
-            "{violations:?}"
-        );
-        // …and so is deriving more deltas per epoch (O(views) creep).
-        let violations =
-            check_subscriptions_baseline(&subscriptions_doc(10_000, 7), &baseline, 0.05)
-                .unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("total_shared_derivations"),
-            "{violations:?}"
-        );
-        // A document without a subscriptions section is malformed.
-        let bare = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_subscriptions_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    fn churn_doc(rounds: u64, total_bytes: u64) -> Json {
-        Json::object(vec![(
-            "churn",
-            Json::object(vec![
-                (
-                    "convergence",
-                    Json::Array(vec![Json::object(vec![
-                        ("nodes", Json::UInt(100)),
-                        ("rounds", Json::UInt(rounds)),
-                        ("rumor_bytes", Json::UInt(40_000)),
-                    ])]),
-                ),
-                ("total_convergence_rounds", Json::UInt(rounds + 20)),
-                ("total_rumor_bytes", Json::UInt(total_bytes)),
-            ]),
-        )])
+        assert_eq!(assert_gated("subscriptions sweep"), 12);
     }
 
     #[test]
     fn churn_points_gate_rounds_and_bytes_upward() {
-        let baseline = churn_doc(10, 100_000);
-        // Within tolerance, and improvements, pass.
-        let ok = check_churn_baseline(&churn_doc(10, 104_000), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 4);
-        assert!(check_churn_baseline(&churn_doc(8, 60_000), &baseline, 0.05).is_ok());
-        // Needing more rounds to converge is a regression…
-        let violations =
-            check_churn_baseline(&churn_doc(11, 100_000), &baseline, 0.05).unwrap_err();
-        assert!(
-            violations.iter().any(|v| v.contains("n=100")),
-            "{violations:?}"
-        );
-        assert!(
-            violations.iter().any(|v| v.contains("rounds")),
-            "{violations:?}"
-        );
-        // …and so is spending more rumor bytes overall.
-        let violations =
-            check_churn_baseline(&churn_doc(10, 111_000), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("total_rumor_bytes"),
-            "{violations:?}"
-        );
-        assert!(violations[0].contains("totals"), "{violations:?}");
-        // A document without a churn section is malformed.
-        let bare = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_churn_baseline(&bare, &baseline, 0.05).is_err());
-    }
-
-    fn adaptivity_doc(final_error: f64, recompiles: u64) -> Json {
-        Json::object(vec![(
-            "adaptivity",
-            Json::object(vec![(
-                "workloads",
-                Json::Array(vec![Json::object(vec![
-                    ("workload", Json::str("tpch-q3")),
-                    ("final_cardinality_error", Json::Float(final_error)),
-                    ("recompiles", Json::UInt(recompiles)),
-                ])]),
-            )]),
-        )])
+        // Two convergence points plus the experiment-wide totals row.
+        assert_eq!(assert_gated("churn point"), 6);
     }
 
     #[test]
     fn adaptivity_workloads_gate_error_and_recompiles_upward() {
-        let baseline = adaptivity_doc(0.50, 1);
-        // Within tolerance, and improvements, pass.
-        let ok = check_adaptivity_baseline(&adaptivity_doc(0.52, 1), &baseline, 0.05).unwrap();
-        assert_eq!(ok.len(), 2);
-        assert!(check_adaptivity_baseline(&adaptivity_doc(0.10, 0), &baseline, 0.05).is_ok());
-        // A worse calibrated error is a regression of the feedback loop…
-        let violations =
-            check_adaptivity_baseline(&adaptivity_doc(0.60, 1), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("final_cardinality_error"),
-            "{violations:?}"
-        );
-        assert!(violations[0].contains("tpch-q3"), "{violations:?}");
-        // …and so is a trigger-happy drift monitor.
-        let violations =
-            check_adaptivity_baseline(&adaptivity_doc(0.50, 2), &baseline, 0.05).unwrap_err();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("recompiles"), "{violations:?}");
-        // An exactly-zero baseline error tolerates floating-point dust
-        // but not a real rise.
-        let zero = adaptivity_doc(0.0, 1);
-        assert!(check_adaptivity_baseline(&adaptivity_doc(0.0, 1), &zero, 0.05).is_ok());
-        assert!(check_adaptivity_baseline(&adaptivity_doc(0.01, 1), &zero, 0.05).is_err());
-        // A document without an adaptivity section is malformed.
-        let bare = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_adaptivity_baseline(&bare, &baseline, 0.05).is_err());
+        // Includes the exactly-zero calibrated errors: 0.01 fails.
+        assert_eq!(assert_gated("adaptivity workload"), 6);
     }
 
     #[test]
     fn missing_workloads_and_fields_fail() {
-        let baseline = doc(1000.0);
-        let empty = Json::object(vec![("experiments", Json::Array(vec![]))]);
-        assert!(check_plan_quality_baseline(&empty, &baseline, 0.05).is_err());
-        let no_section = Json::object(vec![(
+        let baseline = committed();
+        let Json::Object(pairs) = &baseline else {
+            panic!("baseline is an object")
+        };
+        let without = |section: &str| {
+            Json::Object(
+                pairs
+                    .iter()
+                    .filter(|(k, _)| k != section)
+                    .cloned()
+                    .collect(),
+            )
+        };
+        for section in [
             "experiments",
-            Json::Array(vec![Json::object(vec![("workload", Json::str("other"))])]),
-        )]);
-        assert!(check_plan_quality_baseline(&no_section, &baseline, 0.05).is_err());
+            "serving",
+            "subscriptions",
+            "churn",
+            "adaptivity",
+        ] {
+            let violations = check_baseline(&without(section), &baseline, TOLERANCE).unwrap_err();
+            assert!(
+                violations.iter().all(|v| v.starts_with("current document")),
+                "{violations:?}"
+            );
+            assert!(check_baseline(&baseline, &without(section), TOLERANCE).is_err());
+        }
+
+        // A row, or one figure of a row, missing from the current run:
+        // the last adaptivity workload, and its `recompiles`.
+        let adaptivity = GATES.last().unwrap().path;
+        for (missing, expected) in [
+            (None, "stbenchmark-copy present in the baseline but missing"),
+            (
+                Some("recompiles"),
+                "stbenchmark-copy: field recompiles missing",
+            ),
+        ] {
+            let mut current = baseline.clone();
+            let mut workloads = Vec::new();
+            rows_mut(&mut current, &adaptivity[..2], &mut workloads);
+            let Json::Array(items) = &mut *workloads[0] else {
+                panic!("adaptivity workloads are an array")
+            };
+            match (missing, items.last_mut()) {
+                (Some(field), Some(Json::Object(fields))) => fields.retain(|(k, _)| k != field),
+                _ => drop(items.pop()),
+            }
+            let violations = check_baseline(&current, &baseline, TOLERANCE).unwrap_err();
+            assert_eq!(violations.len(), 1, "{violations:?}");
+            assert!(violations[0].contains(expected), "{violations:?}");
+        }
     }
 }

@@ -140,116 +140,6 @@ pub fn run_scale_out(
     Ok(points)
 }
 
-/// The columnar batch path measured against the legacy row-at-a-time
-/// path on the same workload, plan and cluster.  Both runs must produce
-/// identical simulated figures — the data path is a host-side
-/// implementation detail — so the struct also records that the
-/// cross-check held.
-#[derive(Clone, Debug)]
-pub struct WallClockComparison {
-    /// Cluster size.
-    pub nodes: u16,
-    /// Host wall-clock costs of the columnar batch path.
-    pub columnar: WallClock,
-    /// Host wall-clock costs of the legacy row-at-a-time path.
-    pub legacy: WallClock,
-}
-
-impl WallClockComparison {
-    /// Columnar rows/sec over legacy rows/sec.
-    pub fn speedup(&self) -> f64 {
-        let legacy = self.legacy.rows_per_sec();
-        if legacy == 0.0 {
-            0.0
-        } else {
-            self.columnar.rows_per_sec() / legacy
-        }
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("nodes", Json::UInt(self.nodes as u64)),
-            ("columnar", wall_clock_json(&self.columnar)),
-            ("legacy", wall_clock_json(&self.legacy)),
-            ("speedup", Json::Float(self.speedup())),
-        ])
-    }
-}
-
-/// Measured repetitions per data path in [`run_wall_clock`].  Each
-/// path reports its *minimum* cost over the repetitions — the standard
-/// microbenchmark noise filter, since host scheduling can only ever add
-/// time to a run, never remove it.
-const WALL_CLOCK_REPS: usize = 5;
-
-/// Wall-clock comparison: run the workload through the columnar batch
-/// path and through `legacy_row_path` (several repetitions each, keeping
-/// the per-path minimum), verify every simulated figure is identical
-/// across the two (answer, running time, traffic, per-link bytes), and
-/// report the host-side operator costs of both.
-pub fn run_wall_clock(
-    workload: &dyn Workload,
-    nodes: u16,
-    config: &EngineConfig,
-) -> Result<WallClockComparison> {
-    let (storage, epoch) = deploy(workload, nodes)?;
-    let plan = compiled_plan(workload, &storage, epoch)?;
-    let expected = workload.reference();
-    // best[0] is the cheapest columnar report, best[1] the cheapest
-    // legacy one.  Paths alternate within each repetition so drift in
-    // host load spreads evenly across both.
-    let mut best: [Option<orchestra_engine::QueryReport>; 2] = [None, None];
-    for _ in 0..WALL_CLOCK_REPS {
-        for (slot, legacy_row_path) in [(0usize, false), (1usize, true)] {
-            let run_config = EngineConfig {
-                legacy_row_path,
-                ..config.clone()
-            };
-            let report =
-                QueryExecutor::new(&storage, run_config).execute(&plan, epoch, INITIATOR)?;
-            if report.rows != expected {
-                return Err(OrchestraError::Execution(format!(
-                    "wall-clock run of {} (legacy_row_path={legacy_row_path}) returned a wrong answer",
-                    workload.name()
-                )));
-            }
-            let cheaper = best[slot]
-                .as_ref()
-                .map(|b| report.wall_clock.total_nanos() < b.wall_clock.total_nanos())
-                .unwrap_or(true);
-            if cheaper {
-                best[slot] = Some(report);
-            }
-        }
-    }
-    let [columnar, legacy] = best;
-    let columnar = columnar.expect("at least one columnar repetition");
-    let legacy = legacy.expect("at least one legacy repetition");
-    if columnar.running_time != legacy.running_time
-        || columnar.total_bytes != legacy.total_bytes
-        || columnar.total_messages != legacy.total_messages
-        || columnar.link_traffic != legacy.link_traffic
-    {
-        return Err(OrchestraError::Execution(format!(
-            "the data paths diverged on simulated figures for {}: columnar \
-             ({}, {} bytes, {} msgs) vs legacy ({}, {} bytes, {} msgs)",
-            workload.name(),
-            columnar.running_time,
-            columnar.total_bytes,
-            columnar.total_messages,
-            legacy.running_time,
-            legacy.total_bytes,
-            legacy.total_messages,
-        )));
-    }
-    Ok(WallClockComparison {
-        nodes,
-        columnar: columnar.wall_clock,
-        legacy: legacy.wall_clock,
-    })
-}
-
 /// One (failure instant, strategy) cell of a recovery-cost sweep.
 #[derive(Clone, Debug)]
 pub struct RecoveryPoint {
@@ -584,19 +474,6 @@ mod tests {
         let json = points[0].to_json().render();
         assert!(json.contains("\"wall_clock\""), "{json}");
         assert!(json.contains("\"rows_per_sec\""), "{json}");
-    }
-
-    #[test]
-    fn wall_clock_comparison_keeps_simulated_figures_identical() {
-        // The cross-check inside run_wall_clock fails the run if the two
-        // data paths diverge on any simulated figure; both paths also
-        // actually process rows.
-        let w = TpchWorkload::scaled(TpchQuery::Q1, 5, 160);
-        let cmp = run_wall_clock(&w, 4, &EngineConfig::default()).unwrap();
-        assert!(cmp.columnar.total_rows() > 0);
-        assert_eq!(cmp.columnar.total_rows(), cmp.legacy.total_rows());
-        let json = cmp.to_json().render();
-        assert!(json.contains("\"speedup\""), "{json}");
     }
 
     #[test]

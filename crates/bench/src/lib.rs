@@ -88,17 +88,14 @@ pub use adaptivity::{
     run_adaptivity, AdaptivityReport, AdaptivitySpec, AdaptivityWorkload, CrossoverPoint,
     CrossoverReport, DriftEpochPoint, DriftReport, FeedbackPoint, HeavyFeedbackPoint,
 };
-pub use baseline::{
-    check_adaptivity_baseline, check_churn_baseline, check_maintenance_baseline,
-    check_plan_quality_baseline, check_serving_baseline, check_subscriptions_baseline,
-};
+pub use baseline::check_baseline;
 pub use churn::{
     run_churn, ChurnBenchSpec, ChurnEpochPoint, ChurnReport, ConvergencePoint, HeavyEpochPoint,
 };
 pub use experiments::{
-    run_plan_quality, run_recovery_sweep, run_scale_out, run_tagging_overhead, run_wall_clock,
-    wall_clock_add, wall_clock_json, PlanQuality, RecoveryPoint, RecoverySweep, ScaleOutPoint,
-    TaggingOverhead, WallClockComparison, INITIATOR,
+    run_plan_quality, run_recovery_sweep, run_scale_out, run_tagging_overhead, wall_clock_add,
+    wall_clock_json, PlanQuality, RecoveryPoint, RecoverySweep, ScaleOutPoint, TaggingOverhead,
+    INITIATOR,
 };
 pub use json::Json;
 pub use maintenance::{

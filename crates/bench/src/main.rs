@@ -20,13 +20,9 @@
 //! exactly the gated set (`plan_quality` + `maintenance` + `serving` +
 //! `subscriptions` + `churn` + `adaptivity`); its output is what
 //! `BENCH_BASELINE.json` commits.  `--check-baseline <path>` runs that
-//! set and fails (exit 1) if any estimated cost, measured traffic,
-//! maintenance shipped-bytes total, serving shipped-bytes total,
-//! serving cache hit rate, shared-maintenance shipped-bytes total,
-//! shared delta-derivation count, gossip convergence-rounds total,
-//! rumor-bytes total, adaptive calibrated predicted-vs-actual error, or
-//! drift-recompilation count regressed more than 5% versus the
-//! committed baseline; refresh it with
+//! set and fails (exit 1) if any figure of the gate table in
+//! `baseline.rs` regressed more than 5% versus the committed baseline;
+//! refresh it with
 //! `cargo run --release -p orchestra-bench -- --experiment baseline > BENCH_BASELINE.json`.
 //! `--heavy` adds the slow scale points (a thousands-of-sessions
 //! serving run, a 256-subscriber fan-out sweep, a 1000-node
@@ -39,12 +35,9 @@
 //! disagrees with its workload's single-node reference.
 
 use orchestra_bench::{
-    check_adaptivity_baseline, check_churn_baseline, check_maintenance_baseline,
-    check_plan_quality_baseline, check_serving_baseline, check_subscriptions_baseline,
     run_adaptivity, run_churn, run_maintenance, run_plan_quality, run_recovery_sweep,
     run_scale_out, run_serving_experiment, run_subscriptions, run_tagging_overhead, run_throughput,
-    run_wall_clock, AdaptivitySpec, ChurnBenchSpec, Json, MaintenanceSweepSpec, ServingSpec,
-    SubscriptionsSpec,
+    AdaptivitySpec, ChurnBenchSpec, Json, MaintenanceSweepSpec, ServingSpec, SubscriptionsSpec,
 };
 use orchestra_common::{NodeId, Result};
 use orchestra_engine::{AdmissionPolicy, EngineConfig, EvictionPolicy};
@@ -96,11 +89,6 @@ const MAINTENANCE_SEED: u64 = 42;
 /// epoch parameters per leg) don't drown the delta-vs-full contrast the
 /// sweep measures.
 const MAINTENANCE_ROWS: usize = 600;
-/// Rows in the wall-clock throughput comparison.  Larger still: host
-/// rows/sec is a steady-state figure, so the dataset must be big enough
-/// that per-query fixed costs (plan setup, channel creation) vanish
-/// against per-row work on both data paths.
-const WALL_CLOCK_ROWS: usize = 6000;
 /// Requests of the extra thousands-of-sessions serving point that
 /// `--heavy` adds (the ROADMAP's serving follow-on; far too slow for
 /// the default CI gates).
@@ -213,11 +201,9 @@ const MAINTENANCE_SWEEPS: [MaintenanceSweepSpec; 2] = [
 /// The selectable experiments, in documentation order.  `baseline` is
 /// the committed-baseline subset: exactly `plan_quality`,
 /// `maintenance`, `serving`, `subscriptions`, `churn` and `adaptivity`,
-/// the experiments `--check-baseline` gates.
-/// `wall_clock` (the columnar-vs-legacy host-throughput comparison) runs
-/// only when selected explicitly: its figures measure the host machine
-/// and are inherently nondeterministic.
-const EXPERIMENTS: [&str; 13] = [
+/// the experiments `--check-baseline` gates.  Host throughput is
+/// measured outside this binary, by `perfbench` (`adhoc_read`).
+const EXPERIMENTS: [&str; 12] = [
     "all",
     "scale_out",
     "recovery_sweep",
@@ -229,7 +215,6 @@ const EXPERIMENTS: [&str; 13] = [
     "subscriptions",
     "churn",
     "adaptivity",
-    "wall_clock",
     "baseline",
 ];
 
@@ -259,7 +244,7 @@ fn main() {
             eprintln!("valid experiments: {}", EXPERIMENTS.join(", "));
             eprintln!(
                 "usage: orchestra-bench [--experiment <name>] [--list-experiments] \
-                 [--no-wall-clock] [--legacy-row-path] [--heavy] [--check-baseline <path>]"
+                 [--no-wall-clock] [--heavy] [--check-baseline <path>]"
             );
             std::process::exit(2);
         }
@@ -273,8 +258,6 @@ struct RunOptions {
     /// output.  Off under `--no-wall-clock`, the form the byte-exact
     /// determinism gate compares.
     wall_clock: bool,
-    /// Run every experiment through the legacy row-at-a-time data path.
-    legacy_row_path: bool,
     /// Add the slow scale points: the thousands-of-sessions serving run
     /// and the 256-subscriber fan-out sweep.  Never part of the
     /// committed-baseline output, which must stay fast and fixed-shape.
@@ -293,7 +276,6 @@ enum Mode {
 fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
     let mut experiment = "all".to_string();
     let mut wall_clock = true;
-    let mut legacy_row_path = false;
     let mut heavy = false;
     let mut list = false;
     let mut baseline_path: Option<String> = None;
@@ -312,10 +294,6 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
             }
             "--no-wall-clock" => {
                 wall_clock = false;
-                i += 1;
-            }
-            "--legacy-row-path" => {
-                legacy_row_path = true;
                 i += 1;
             }
             "--heavy" => {
@@ -344,7 +322,6 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
         None => Ok(Mode::Run(RunOptions {
             experiment,
             wall_clock,
-            legacy_row_path,
             heavy,
         })),
     }
@@ -378,10 +355,7 @@ fn run(options: &RunOptions) -> Result<Json> {
     let adaptivity_workloads: [&dyn Workload; 3] = [&a_tpch, &a_tpch_joins, &a_stbenchmark];
     let all = experiment == "all";
 
-    let config = EngineConfig {
-        legacy_row_path: options.legacy_row_path,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
     let mut doc = vec![
         ("benchmark", Json::str("orchestra")),
         ("experiment", Json::str(experiment)),
@@ -435,21 +409,6 @@ fn run(options: &RunOptions) -> Result<Json> {
             experiments.push(Json::object(entry));
         }
         doc.push(("experiments", Json::Array(experiments)));
-    }
-
-    // Explicit selection only: host-throughput figures are inherently
-    // nondeterministic, so they never enter the byte-compared full run.
-    if experiment == "wall_clock" {
-        let wc_tpch = TpchWorkload::scaled(TpchQuery::Q1, 42, WALL_CLOCK_ROWS);
-        let comparison = run_wall_clock(&wc_tpch, SWEEP_NODES, &config)?;
-        doc.push((
-            "wall_clock",
-            Json::object(vec![
-                ("workload", Json::str(wc_tpch.name())),
-                ("rows", Json::UInt(WALL_CLOCK_ROWS as u64)),
-                ("comparison", comparison.to_json()),
-            ]),
-        ));
     }
 
     if all || experiment == "throughput" {
@@ -593,30 +552,18 @@ fn check_baseline(path: &str) -> Result<()> {
     let current = run(&RunOptions {
         experiment: "baseline".into(),
         wall_clock: false,
-        legacy_row_path: false,
         heavy: false,
     })?;
-    let mut violations = Vec::new();
-    for result in [
-        check_plan_quality_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_maintenance_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_serving_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_subscriptions_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_churn_baseline(&current, &baseline, BASELINE_TOLERANCE),
-        check_adaptivity_baseline(&current, &baseline, BASELINE_TOLERANCE),
-    ] {
-        match result {
-            Ok(passed) => {
-                for line in passed {
-                    eprintln!("ok: {line}");
-                }
+    let violations = match orchestra_bench::check_baseline(&current, &baseline, BASELINE_TOLERANCE)
+    {
+        Ok(passed) => {
+            for line in passed {
+                eprintln!("ok: {line}");
             }
-            Err(lines) => violations.extend(lines),
+            return Ok(());
         }
-    }
-    if violations.is_empty() {
-        return Ok(());
-    }
+        Err(violations) => violations,
+    };
     for line in &violations {
         eprintln!("REGRESSION: {line}");
     }

@@ -20,6 +20,12 @@
 //! | workload catalogue | [`workloads`] | VI-B/VI-C |
 //! | experiment harness | [`bench`](mod@bench) | VI (figures) |
 
+/// The repository README, compiled so its Rust examples keep building
+/// against this facade.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
+
 pub use orchestra_bench as bench;
 pub use orchestra_common as common;
 pub use orchestra_engine as engine;

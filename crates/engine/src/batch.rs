@@ -147,8 +147,8 @@ impl TupleBatch {
         }
     }
 
-    /// Materialize every row (used only at the remaining row seams:
-    /// operator unit tests and the legacy row-at-a-time path).
+    /// Materialize every row (used only at the remaining row seams, such
+    /// as the operator unit tests).
     pub fn rows(&self) -> Vec<TaggedTuple> {
         (0..self.len()).map(|i| self.row_at(i)).collect()
     }

@@ -22,7 +22,6 @@ use super::pipeline::Runtime;
 use crate::batch::TupleBatch;
 use crate::ops::RehashState;
 use crate::plan::OpId;
-use crate::provenance::TaggedTuple;
 use orchestra_common::{NodeId, NodeSet};
 use orchestra_simnet::SimTime;
 use std::collections::HashMap;
@@ -82,22 +81,6 @@ impl ExchangeLayer {
     /// An empty layer.
     pub(super) fn new() -> ExchangeLayer {
         ExchangeLayer::default()
-    }
-
-    /// Buffer one row of (`node`, `op`) for `dest`, creating the state on
-    /// first use; returns the buffer length after insertion.
-    pub(super) fn buffer(
-        &mut self,
-        node: NodeId,
-        op: OpId,
-        dest: NodeId,
-        row: TaggedTuple,
-        cache: bool,
-    ) -> usize {
-        self.states
-            .entry((node, op))
-            .or_insert_with(|| RehashState::new(cache))
-            .buffer(dest, row)
     }
 
     /// Buffer row `row` of a columnar batch into (`node`, `op`) for
@@ -162,7 +145,7 @@ impl ExchangeLayer {
             let state = self.states.get_mut(&k).expect("key exists");
             for dest in state.pending_destinations() {
                 if failed.contains(dest) {
-                    state.take_buffer(dest);
+                    state.take_buffer_batch(dest);
                 }
             }
         }
@@ -219,21 +202,6 @@ impl Runtime<'_> {
                 self.sim
                     .send(self.initiator, node, bytes, at, Payload::Start);
             }
-        }
-    }
-
-    /// Buffer one row into exchange `op` for `dest`, flushing a full batch.
-    pub(super) fn buffer_exchange(
-        &mut self,
-        node: NodeId,
-        op: OpId,
-        dest: NodeId,
-        row: TaggedTuple,
-        ready: SimTime,
-    ) {
-        let cache = self.config.recovery;
-        if self.exchanges.buffer(node, op, dest, row, cache) >= self.config.batch_size {
-            self.flush_exchange(node, op, dest, ready);
         }
     }
 

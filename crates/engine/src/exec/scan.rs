@@ -13,7 +13,6 @@ use super::pipeline::{Runtime, WC_SCAN};
 use crate::batch::TupleBatch;
 use crate::expr::Predicate;
 use crate::plan::{OpId, OperatorKind};
-use crate::provenance::TaggedTuple;
 use orchestra_common::{
     ColumnarBatch, Epoch, KeyRange, NodeId, NodeSet, OrchestraError, Result, Tuple, Value,
 };
@@ -178,11 +177,11 @@ impl Runtime<'_> {
     /// tagged with the scanning node's provenance.  The scan predicate
     /// filters the tuple stream *before* the batch is built (late
     /// materialization: a dropped row is never interned or accounted), so
-    /// only surviving rows pay columnarization.  On the legacy row path
-    /// each survivor becomes an individual tagged row object, exactly as
-    /// the engine worked before the columnar refactor, and only then is
-    /// packed for the wire.  Only this emission work is on the wall
-    /// clock — the storage fetch above it is identical on both paths.
+    /// only surviving rows pay columnarization.  Rows shorter than the
+    /// widest scanned tuple (the pre-filter maximum, so filtered and
+    /// unfiltered scans agree on the batch shape) are padded with NULLs.
+    /// Only this emission work is on the wall clock, not the storage
+    /// fetch above it.
     fn emit_scanned(
         &mut self,
         tuples: Vec<Tuple>,
@@ -192,18 +191,13 @@ impl Runtime<'_> {
         let wall = Instant::now();
         let arity = tuples.iter().map(|t| t.arity()).max().unwrap_or(0);
         let tuples = filter_scanned(tuples, predicate);
-        let batch = if self.config.legacy_row_path {
-            let phase = self.phase;
-            let rows: Vec<TaggedTuple> = tuples
-                .into_iter()
-                .map(|t| TaggedTuple::scanned(pad_to(t, arity), node, phase))
-                .collect();
-            TupleBatch::from_rows(rows)
-        } else {
-            let batch =
-                ColumnarBatch::from_tuples(arity, tuples, 1, NodeSet::singleton(node), self.phase);
-            TupleBatch::from_columnar(batch)
-        };
+        let batch = TupleBatch::from_columnar(ColumnarBatch::from_tuples(
+            arity,
+            tuples,
+            1,
+            NodeSet::singleton(node),
+            self.phase,
+        ));
         self.record_wall(WC_SCAN, batch.len(), wall);
         batch
     }
@@ -224,26 +218,13 @@ impl Runtime<'_> {
             Some(p) => signed.into_iter().filter(|(t, _)| p.eval(t)).collect(),
             None => signed,
         };
-        let batch = if self.config.legacy_row_path {
-            let rows: Vec<TaggedTuple> = signed
-                .into_iter()
-                .map(|(t, sign)| TaggedTuple {
-                    tuple: pad_to(t, arity),
-                    provenance: prov,
-                    phase,
-                    sign,
-                })
-                .collect();
-            TupleBatch::from_rows(rows)
-        } else {
-            let mut batch = ColumnarBatch::new(arity);
-            for (t, sign) in signed {
-                let mut values = t.into_values();
-                values.resize(arity, Value::Null);
-                batch.push_row_owned(values, sign, prov, phase);
-            }
-            TupleBatch::from_columnar(batch)
-        };
+        let mut columns = ColumnarBatch::new(arity);
+        for (t, sign) in signed {
+            let mut values = t.into_values();
+            values.resize(arity, Value::Null);
+            columns.push_row_owned(values, sign, prov, phase);
+        }
+        let batch = TupleBatch::from_columnar(columns);
         self.record_wall(WC_SCAN, batch.len(), wall);
         batch
     }
@@ -255,12 +236,4 @@ fn filter_scanned(tuples: Vec<Tuple>, predicate: &Option<Predicate>) -> Vec<Tupl
         Some(p) => tuples.into_iter().filter(|t| p.eval(t)).collect(),
         None => tuples,
     }
-}
-
-/// Pad `t` with NULLs up to `arity` (the pre-filter maximum, so filtered
-/// and unfiltered scans agree on the batch shape).
-fn pad_to(t: Tuple, arity: usize) -> Tuple {
-    let mut values = t.into_values();
-    values.resize(arity, Value::Null);
-    Tuple::new(values)
 }

@@ -24,11 +24,9 @@
 //! Between operators the data path is columnar: batches travel as typed
 //! column vectors with interned strings and parallel sign / provenance /
 //! phase tag columns, and the operators are vectorized over that layout.
-//! [`exec::EngineConfig::legacy_row_path`] switches a run back to the
-//! row-at-a-time path (every batch materialized into tagged row objects
-//! and re-packed afterwards) — the two paths produce bit-identical
-//! simulated figures and differ only in host CPU cost, which
-//! [`exec::QueryReport::wall_clock`] exposes per operator class.
+//! Simulated figures are bit-identical to the row-at-a-time engine this
+//! layout replaced; host CPU cost is exposed per operator class by
+//! [`exec::QueryReport::wall_clock`].
 //!
 //! ## Reliability
 //!

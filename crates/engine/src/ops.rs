@@ -556,29 +556,6 @@ impl AggState {
         }
     }
 
-    /// Fold one partial-state row (mode `Final`): `aggs[i].1` is the
-    /// column at which the i-th aggregate's partial state begins.
-    pub fn update_partial(
-        &mut self,
-        row: &TaggedTuple,
-        group_by: &[usize],
-        aggs: &[(AggFunc, usize)],
-    ) {
-        let key: Vec<Value> = group_by
-            .iter()
-            .map(|c| row.tuple.value(*c).clone())
-            .collect();
-        let i = self.subgroup_at((key, row.provenance, row.phase), aggs);
-        let group = &mut self.subgroups[i];
-        for (j, (f, col)) in aggs.iter().enumerate() {
-            let width = f.partial_width();
-            let state: Vec<Value> = (0..width)
-                .map(|k| row.tuple.value(col + k).clone())
-                .collect();
-            group.accumulators[j].merge_partial_signed(&state, row.sign as i64);
-        }
-    }
-
     /// Fold a whole columnar batch of raw input rows (modes `Single` and
     /// `Partial`).  Equivalent to [`Self::update_raw`] on every row in
     /// order; typed group columns resolve their sub-group through a
