@@ -25,48 +25,13 @@
 use crate::failure_sweep_points;
 use crate::json::Json;
 use orchestra_common::{NodeId, OrchestraError, Result};
-use orchestra_engine::{EngineConfig, FailureSpec, QueryExecutor, RecoveryStrategy, WallClock};
+use orchestra_engine::{EngineConfig, FailureSpec, QueryExecutor, RecoveryStrategy};
 use orchestra_optimizer::{estimate_plan_cost, Statistics};
 use orchestra_simnet::SimTime;
 use orchestra_workloads::{compiled_plan, deploy, Workload};
 
 /// Every experiment initiates queries from node 0.
 pub const INITIATOR: NodeId = NodeId(0);
-
-/// Render an engine [`WallClock`] as the bench's `"wall_clock"` JSON
-/// object: aggregate rows/sec plus per-operator rows and CPU time.
-///
-/// These figures measure the host machine, not the simulation: they are
-/// nondeterministic and must never appear in output that a byte-exact
-/// determinism gate compares (the bench binary omits them under
-/// `--no-wall-clock`).
-pub fn wall_clock_json(w: &WallClock) -> Json {
-    let mut ops = Vec::new();
-    for (i, name) in WallClock::NAMES.iter().enumerate() {
-        if w.op_rows[i] == 0 && w.op_nanos[i] == 0 {
-            continue;
-        }
-        ops.push(Json::object(vec![
-            ("op", Json::str(*name)),
-            ("rows", Json::UInt(w.op_rows[i])),
-            ("cpu_nanos", Json::UInt(w.op_nanos[i])),
-        ]));
-    }
-    Json::object(vec![
-        ("rows_per_sec", Json::Float(w.rows_per_sec())),
-        ("total_rows", Json::UInt(w.total_rows())),
-        ("total_cpu_nanos", Json::UInt(w.total_nanos())),
-        ("operators", Json::Array(ops)),
-    ])
-}
-
-/// Sum `w` into `acc`, slot by slot.
-pub fn wall_clock_add(acc: &mut WallClock, w: &WallClock) {
-    for i in 0..WallClock::NAMES.len() {
-        acc.op_rows[i] += w.op_rows[i];
-        acc.op_nanos[i] += w.op_nanos[i];
-    }
-}
 
 /// One cluster size of a scale-out experiment.
 #[derive(Clone, Debug)]
@@ -81,37 +46,27 @@ pub struct ScaleOutPoint {
     pub total_messages: u64,
     /// Tuple versions fetched by all scans.
     pub tuples_scanned: usize,
-    /// Host wall-clock operator costs (`None` when suppressed for
-    /// byte-exact determinism comparison).
-    pub wall_clock: Option<WallClock>,
 }
 
 impl ScaleOutPoint {
     /// Render as a JSON object.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::object(vec![
             ("nodes", Json::UInt(self.nodes as u64)),
             ("running_time_us", Json::UInt(self.running_time.as_micros())),
             ("total_bytes", Json::UInt(self.total_bytes)),
             ("total_messages", Json::UInt(self.total_messages)),
             ("tuples_scanned", Json::UInt(self.tuples_scanned as u64)),
-        ];
-        if let Some(w) = &self.wall_clock {
-            fields.push(("wall_clock", wall_clock_json(w)));
-        }
-        Json::object(fields)
+        ])
     }
 }
 
 /// Scale-out: run the workload failure-free on each cluster size and
-/// record running time and traffic (Figures 7–12).  `wall_clock` adds
-/// the host-machine rows/sec axis to each point; leave it off for
-/// byte-exact determinism comparisons.
+/// record running time and traffic (Figures 7–12).
 pub fn run_scale_out(
     workload: &dyn Workload,
     node_counts: &[u16],
     config: &EngineConfig,
-    wall_clock: bool,
 ) -> Result<Vec<ScaleOutPoint>> {
     let expected = workload.reference();
     let mut points = Vec::with_capacity(node_counts.len());
@@ -134,7 +89,6 @@ pub fn run_scale_out(
             total_bytes: report.total_bytes,
             total_messages: report.total_messages,
             tuples_scanned: report.tuples_scanned,
-            wall_clock: wall_clock.then_some(report.wall_clock),
         });
     }
     Ok(points)
@@ -455,25 +409,14 @@ mod tests {
     #[test]
     fn scale_out_covers_every_cluster_size() {
         let w = CopyScenario { seed: 3, rows: 120 };
-        let points = run_scale_out(&w, &[4, 6, 8], &EngineConfig::default(), false).unwrap();
+        let points = run_scale_out(&w, &[4, 6, 8], &EngineConfig::default()).unwrap();
         assert_eq!(points.len(), 3);
         assert!(points.iter().all(|p| p.total_bytes > 0));
         assert!(points.iter().all(|p| p.running_time > SimTime::ZERO));
         let json = points[0].to_json().render();
         assert!(json.contains("\"nodes\":4"), "{json}");
-        // Suppressed wall clock stays out of the deterministic output.
+        // Host timings stay out of the deterministic output.
         assert!(!json.contains("wall_clock"), "{json}");
-    }
-
-    #[test]
-    fn scale_out_wall_clock_axis_renders_rows_per_sec() {
-        let w = CopyScenario { seed: 3, rows: 120 };
-        let points = run_scale_out(&w, &[4], &EngineConfig::default(), true).unwrap();
-        let w = points[0].wall_clock.as_ref().expect("wall clock requested");
-        assert!(w.total_rows() > 0, "operators processed rows");
-        let json = points[0].to_json().render();
-        assert!(json.contains("\"wall_clock\""), "{json}");
-        assert!(json.contains("\"rows_per_sec\""), "{json}");
     }
 
     #[test]

@@ -93,9 +93,8 @@ pub use churn::{
     run_churn, ChurnBenchSpec, ChurnEpochPoint, ChurnReport, ConvergencePoint, HeavyEpochPoint,
 };
 pub use experiments::{
-    run_plan_quality, run_recovery_sweep, run_scale_out, run_tagging_overhead, wall_clock_add,
-    wall_clock_json, PlanQuality, RecoveryPoint, RecoverySweep, ScaleOutPoint, TaggingOverhead,
-    INITIATOR,
+    run_plan_quality, run_recovery_sweep, run_scale_out, run_tagging_overhead, PlanQuality,
+    RecoveryPoint, RecoverySweep, ScaleOutPoint, TaggingOverhead, INITIATOR,
 };
 pub use json::Json;
 pub use maintenance::{

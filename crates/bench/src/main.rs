@@ -244,7 +244,7 @@ fn main() {
             eprintln!("valid experiments: {}", EXPERIMENTS.join(", "));
             eprintln!(
                 "usage: orchestra-bench [--experiment <name>] [--list-experiments] \
-                 [--no-wall-clock] [--heavy] [--check-baseline <path>]"
+                 [--heavy] [--check-baseline <path>]"
             );
             std::process::exit(2);
         }
@@ -254,10 +254,6 @@ fn main() {
 /// A `Mode::Run` invocation's options.
 struct RunOptions {
     experiment: String,
-    /// Emit the host wall-clock axis in scale-out and maintenance
-    /// output.  Off under `--no-wall-clock`, the form the byte-exact
-    /// determinism gate compares.
-    wall_clock: bool,
     /// Add the slow scale points: the thousands-of-sessions serving run
     /// and the 256-subscriber fan-out sweep.  Never part of the
     /// committed-baseline output, which must stay fast and fixed-shape.
@@ -275,7 +271,6 @@ enum Mode {
 
 fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
     let mut experiment = "all".to_string();
-    let mut wall_clock = true;
     let mut heavy = false;
     let mut list = false;
     let mut baseline_path: Option<String> = None;
@@ -291,10 +286,6 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
                 }
                 experiment = name.clone();
                 i += 2;
-            }
-            "--no-wall-clock" => {
-                wall_clock = false;
-                i += 1;
             }
             "--heavy" => {
                 heavy = true;
@@ -319,11 +310,7 @@ fn parse_args(args: &[String]) -> std::result::Result<Mode, String> {
     }
     match baseline_path {
         Some(path) => Ok(Mode::CheckBaseline(path)),
-        None => Ok(Mode::Run(RunOptions {
-            experiment,
-            wall_clock,
-            heavy,
-        })),
+        None => Ok(Mode::Run(RunOptions { experiment, heavy })),
     }
 }
 
@@ -362,9 +349,6 @@ fn run(options: &RunOptions) -> Result<Json> {
     ];
 
     let baseline = experiment == "baseline";
-    // The committed baseline document must stay deterministic, so it
-    // never carries the host wall-clock axis regardless of flags.
-    let wall_clock = options.wall_clock && !baseline;
     let per_workload = all
         || baseline
         || matches!(
@@ -376,7 +360,7 @@ fn run(options: &RunOptions) -> Result<Json> {
         for (i, workload) in workloads.into_iter().enumerate() {
             let mut entry = vec![("workload", Json::str(workload.name()))];
             if all || experiment == "scale_out" {
-                let points = run_scale_out(workload, &SCALE_OUT_NODES, &config, wall_clock)?;
+                let points = run_scale_out(workload, &SCALE_OUT_NODES, &config)?;
                 entry.push((
                     "scale_out",
                     Json::Array(points.iter().map(|p| p.to_json()).collect()),
@@ -402,7 +386,6 @@ fn run(options: &RunOptions) -> Result<Json> {
                     MAINTENANCE_SEED,
                     &MAINTENANCE_SWEEPS,
                     &config,
-                    wall_clock,
                 )?;
                 entry.push(("maintenance", maintenance.to_json()));
             }
@@ -551,7 +534,6 @@ fn check_baseline(path: &str) -> Result<()> {
         .map_err(|e| OrchestraError::Execution(format!("cannot parse {path}: {e}")))?;
     let current = run(&RunOptions {
         experiment: "baseline".into(),
-        wall_clock: false,
         heavy: false,
     })?;
     let violations = match orchestra_bench::check_baseline(&current, &baseline, BASELINE_TOLERANCE)

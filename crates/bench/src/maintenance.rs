@@ -31,14 +31,14 @@ use crate::json::Json;
 use orchestra_common::{NodeId, OrchestraError, Result};
 use orchestra_engine::{
     refresh_view, EngineConfig, FailureSpec, MaintenanceMode, MaintenanceRun, MaterializedView,
-    QueryExecutor, WallClock,
+    QueryExecutor,
 };
 use orchestra_optimizer::{choose_maintenance, MaintenanceDecision, Statistics};
 use orchestra_simnet::SimTime;
 use orchestra_workloads::{compiled_plan, deploy, epoch_stream, EpochSpec, Workload};
 use std::collections::BTreeMap;
 
-use crate::experiments::{wall_clock_add, wall_clock_json, INITIATOR};
+use crate::experiments::INITIATOR;
 
 /// One sweep point: how much churn each epoch publishes, and how many
 /// epochs the stream runs before the failure epoch.
@@ -179,64 +179,39 @@ pub struct MaintenanceReport {
     pub nodes: u16,
     /// One entry per sweep point, in sweep order.
     pub sweeps: Vec<MaintenanceSweep>,
-    /// Host wall-clock operator costs summed over every engine run the
-    /// experiment performed — refresh legs, recomputations and
-    /// cross-check runs alike (`None` when suppressed for byte-exact
-    /// determinism comparison).
-    pub wall_clock: Option<WallClock>,
 }
 
 impl MaintenanceReport {
     /// Render as a JSON object.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::object(vec![
             ("workload", Json::str(self.workload.clone())),
             ("nodes", Json::UInt(self.nodes as u64)),
             (
                 "sweeps",
                 Json::Array(self.sweeps.iter().map(MaintenanceSweep::to_json).collect()),
             ),
-        ];
-        if let Some(w) = &self.wall_clock {
-            fields.push(("wall_clock", wall_clock_json(w)));
-        }
-        Json::object(fields)
+        ])
     }
 }
 
 /// Run the maintenance experiment for one workload over `sweeps` (delta
-/// size × epoch count), from a fresh deployment per sweep.  `wall_clock`
-/// adds the host-machine rows/sec axis to the report; leave it off for
-/// byte-exact determinism comparisons.
+/// size × epoch count), from a fresh deployment per sweep.
 pub fn run_maintenance(
     workload: &dyn Workload,
     nodes: u16,
     seed: u64,
     sweeps: &[MaintenanceSweepSpec],
     config: &EngineConfig,
-    wall_clock: bool,
 ) -> Result<MaintenanceReport> {
-    let mut report = MaintenanceReport {
+    Ok(MaintenanceReport {
         workload: workload.name(),
         nodes,
-        sweeps: Vec::with_capacity(sweeps.len()),
-        wall_clock: None,
-    };
-    let mut wall = WallClock::default();
-    for sweep in sweeps {
-        report
-            .sweeps
-            .push(run_sweep(workload, nodes, seed, sweep, config, &mut wall)?);
-    }
-    report.wall_clock = wall_clock.then_some(wall);
-    Ok(report)
-}
-
-/// Sum the wall-clock costs of every session a refresh ran into `wall`.
-fn add_run_wall(wall: &mut WallClock, run: &MaintenanceRun) {
-    for session in &run.sessions {
-        wall_clock_add(wall, &session.report.wall_clock);
-    }
+        sweeps: sweeps
+            .iter()
+            .map(|sweep| run_sweep(workload, nodes, seed, sweep, config))
+            .collect::<Result<Vec<MaintenanceSweep>>>()?,
+    })
 }
 
 fn run_sweep(
@@ -245,7 +220,6 @@ fn run_sweep(
     seed: u64,
     sweep: &MaintenanceSweepSpec,
     config: &EngineConfig,
-    wall: &mut WallClock,
 ) -> Result<MaintenanceSweep> {
     let (mut storage, base_epoch) = deploy(workload, nodes)?;
     let plan = compiled_plan(workload, &storage, base_epoch)?;
@@ -263,7 +237,7 @@ fn run_sweep(
     let base_stats = Statistics::collect(&storage, base_epoch);
     let leg_inputs = orchestra_optimizer::compile_delta_legs(&workload.logical(), &base_stats)?;
     view.install_leg_plans(&leg_inputs)?;
-    let initial_run = refresh_view(
+    refresh_view(
         &mut view,
         &storage,
         config,
@@ -272,7 +246,6 @@ fn run_sweep(
         INITIATOR,
         None,
     )?;
-    add_run_wall(wall, &initial_run);
     let expected = workload.reference();
     if view.answer() != expected {
         return Err(OrchestraError::Execution(format!(
@@ -351,13 +324,10 @@ fn run_sweep(
             None,
         )?;
 
-        add_run_wall(wall, &inc_run);
-        add_run_wall(wall, &rec_run);
         let expected = stream.reference(i);
-        let fresh_report =
-            QueryExecutor::new(&storage, config.clone()).execute(&plan, epoch, INITIATOR)?;
-        wall_clock_add(wall, &fresh_report.wall_clock);
-        let fresh = fresh_report.rows;
+        let fresh = QueryExecutor::new(&storage, config.clone())
+            .execute(&plan, epoch, INITIATOR)?
+            .rows;
         if fresh != expected {
             return Err(OrchestraError::Execution(format!(
                 "fresh run of {} at epoch {epoch} disagrees with the stream reference",
@@ -409,7 +379,6 @@ fn run_sweep(
         INITIATOR,
         None,
     )?;
-    add_run_wall(wall, &probe_run);
     let failure_at = SimTime::from_micros(probe_run.makespan.as_micros() / 2);
     let failure = FailureSpec::at_time(NodeId(nodes - 1), failure_at);
     let run = refresh_view(
@@ -427,7 +396,6 @@ fn run_sweep(
             workload.name()
         )));
     }
-    add_run_wall(wall, &run);
     out.failure = MaintenanceFailurePoint {
         victim: failure.node,
         failure_at,
@@ -473,10 +441,8 @@ mod tests {
             },
         ] {
             let report =
-                run_maintenance(workload, 6, 23, &SWEEPS, &EngineConfig::default(), true).unwrap();
+                run_maintenance(workload, 6, 23, &SWEEPS, &EngineConfig::default()).unwrap();
             assert_eq!(report.sweeps.len(), 2, "{}", workload.name());
-            let wall = report.wall_clock.as_ref().expect("wall clock requested");
-            assert!(wall.total_rows() > 0, "{}", workload.name());
             let small = &report.sweeps[0];
             assert!(
                 small.total_incremental_bytes < small.total_recompute_bytes,
@@ -513,7 +479,7 @@ mod tests {
             spec: EpochSpec::new(2, 1, 1),
             epochs: 5,
         }];
-        let report = run_maintenance(&w, 6, 29, &sweeps, &EngineConfig::default(), false).unwrap();
+        let report = run_maintenance(&w, 6, 29, &sweeps, &EngineConfig::default()).unwrap();
         let sweep = &report.sweeps[0];
         assert_eq!(sweep.points.len(), 5);
         assert!(sweep.points.iter().all(|p| p.legs >= 1));
@@ -522,7 +488,7 @@ mod tests {
         assert!(json.contains("\"total_incremental_bytes\""), "{json}");
         assert!(json.contains("\"failure\""), "{json}");
         assert!(json.contains("\"decision\""), "{json}");
-        // Suppressed wall clock stays out of the deterministic output.
+        // Host timings stay out of the deterministic output.
         assert!(!json.contains("wall_clock"), "{json}");
     }
 }

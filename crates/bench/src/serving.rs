@@ -217,7 +217,7 @@ fn drain_per_query(
             plan_resident: false,
         })
         .collect();
-    let report = scheduler.run(storage, config, &sessions)?;
+    let report = scheduler.run(storage, config, &sessions, &[], None)?;
     Ok(SimTime::from_micros(
         (report.makespan.as_micros() / queries.len() as u64).max(1),
     ))
@@ -346,10 +346,10 @@ pub fn run_serving_experiment(spec: &ServingSpec, config: &EngineConfig) -> Resu
 
             for &capacity in cache_capacities {
                 let report = if capacity == 0 {
-                    scheduler.run(&storage, config, &sessions)?
+                    scheduler.run(&storage, config, &sessions, &[], None)?
                 } else {
                     let mut cache = ResultCache::new(capacity, eviction);
-                    scheduler.run_serving(&storage, config, &sessions, &mut cache)?
+                    scheduler.run(&storage, config, &sessions, &[], Some(&mut cache))?
                 };
                 for sr in &report.sessions {
                     let expected = &queries[identities[sr.session.0 as usize]].reference;

@@ -187,7 +187,7 @@ pub fn run_throughput(
             policy,
             slo: None,
         });
-        let workload = scheduler.run(&storage, config, &sessions)?;
+        let workload = scheduler.run(&storage, config, &sessions, &[], None)?;
         for (i, sr) in workload.sessions.iter().enumerate() {
             if sr.report.rows != expected[i] {
                 return Err(OrchestraError::Execution(format!(

@@ -105,7 +105,7 @@ mod tests {
         // An experiment is one `use orchestra_core::*` away: deploy a
         // catalogue workload and sweep a failure-free scale-out.
         let workload = CopyScenario { seed: 5, rows: 60 };
-        let points = run_scale_out(&workload, &[4], &EngineConfig::default(), false).unwrap();
+        let points = run_scale_out(&workload, &[4], &EngineConfig::default()).unwrap();
         assert_eq!(points.len(), 1);
         assert!(points[0].total_bytes > 0);
         let (storage, epoch) = deploy(&workload, 4).unwrap();
@@ -150,7 +150,7 @@ mod tests {
             slo: None,
         });
         let workload = scheduler
-            .run(&storage, &EngineConfig::default(), &sessions)
+            .run(&storage, &EngineConfig::default(), &sessions, &[], None)
             .unwrap();
         assert_eq!(workload.sessions.len(), 2);
         for (i, sr) in workload.sessions.iter().enumerate() {

@@ -27,14 +27,17 @@
 //!    relations.  Callers can go further and install legs whose *join
 //!    order* was chosen by the optimizer for a delta-sized pivot
 //!    ([`MaterializedView::install_leg_plans`]).
-//! 3. [`refresh_view`] runs the legs as ordinary sessions under the
-//!    [`SessionScheduler`] — they multiplex one simulated network, carry
-//!    provenance tags, and survive a mid-maintenance node failure
+//! 3. One *maintenance round* runs the legs as ordinary sessions under
+//!    the [`SessionScheduler`] — they multiplex one simulated network,
+//!    carry provenance tags, and survive a mid-maintenance node failure
 //!    through the existing Restart/Incremental recovery (a delta scan,
 //!    like a full scan, is deterministically re-runnable over inherited
 //!    ranges).  The signed rows each leg ships to the initiator are
 //!    folded into the [`MaterializedView`]'s per-group accumulator state
-//!    (or counted multiset, for aggregate-free views).
+//!    (or counted multiset, for aggregate-free views).  Both refresh
+//!    drivers — [`refresh_view`] for one view and
+//!    [`super::ViewRegistry::refresh`] for many — build their sessions
+//!    as demands on that same round.
 //!
 //! Full recomputation rides the same machinery: one session over the
 //! maintenance plan with every scan at the target epoch and the view
@@ -56,16 +59,17 @@
 //! reports itself recompute-only.
 
 use super::scheduler::{
-    AdmissionPolicy, QuerySession, SchedulerConfig, SessionReport, SessionScheduler,
+    AdmissionPolicy, QuerySession, SchedulerConfig, SessionScheduler, WorkloadReport,
 };
 use super::{EngineConfig, FailureSpec};
 use crate::expr::AggFunc;
 use crate::ops::{Accumulator, ExtremumKind, ExtremumSketch, EXTREMUM_SKETCH_K};
 use crate::plan::{AggMode, OpId, OperatorKind, PhysicalPlan, PlanBuilder};
-use orchestra_common::{Epoch, NodeId, OrchestraError, Result, Tuple, Value};
+use orchestra_common::{Epoch, NodeId, OrchestraError, QueryFingerprint, Result, Tuple, Value};
 use orchestra_simnet::SimTime;
 use orchestra_storage::DistributedStorage;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 /// Per-scan read instructions for one session: pin a leaf scan to an
 /// epoch other than the session's, or turn it into a *signed delta scan*
@@ -747,25 +751,9 @@ impl MaterializedView {
     }
 
     /// Throw the state away (the recompute path's clean slate).
-    pub(super) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.groups.clear();
         self.multiset.clear();
-    }
-
-    /// Is the base (recompute) dataflow already resident at the
-    /// participants?
-    pub(super) fn base_installed(&self) -> bool {
-        self.installed_base
-    }
-
-    /// Mark the base dataflow resident (a recompute run completed).
-    pub(super) fn mark_base_installed(&mut self) {
-        self.installed_base = true;
-    }
-
-    /// Mark `relation`'s delta-leg dataflow resident (its leg completed).
-    pub(super) fn mark_leg_installed(&mut self, relation: &str) {
-        self.installed_legs.insert(relation.to_string());
     }
 
     /// Advance the epoch the state reflects (the caller has folded every
@@ -776,7 +764,7 @@ impl MaterializedView {
 
     /// Fold one session's signed answer rows into the state, under the
     /// fold mode of the plan that session ran.
-    pub(super) fn fold(&mut self, fold: &FoldMode, rows: &[(Tuple, i8)]) {
+    fn fold(&mut self, fold: &FoldMode, rows: &[(Tuple, i8)]) {
         match fold.clone() {
             FoldMode::Multiset => {
                 for (tuple, sign) in rows {
@@ -906,8 +894,19 @@ pub struct MaintenanceRun {
     /// back to a recompute?  The recompute's traffic is included in this
     /// run's totals.
     pub sketch_fallback: bool,
-    /// Per-leg session reports (empty when no leg ran).
-    pub sessions: Vec<SessionReport>,
+}
+
+impl MaintenanceRun {
+    /// Add one maintenance round's measurements to the totals.
+    fn absorb(&mut self, round: &WorkloadReport) {
+        self.shipped_bytes += round.total_bytes;
+        self.shipped_messages += round.total_messages;
+        self.makespan += round.makespan;
+        for session in &round.sessions {
+            self.recovered |= session.report.recovered;
+            self.rows_folded += session.report.signed_rows.len();
+        }
+    }
 }
 
 /// Refresh `view` to `to_epoch` over `storage`, running the maintenance
@@ -923,26 +922,8 @@ pub fn refresh_view(
     initiator: NodeId,
     failure: Option<FailureSpec>,
 ) -> Result<MaintenanceRun> {
-    // Relations whose delta legs this refresh executes (empty for a
-    // recompute) — the flows marked installed once the run succeeds.
-    let mut ran_legs: Vec<String> = Vec::new();
-    let sessions: Vec<(QuerySession, FoldMode)> = match mode {
-        MaintenanceMode::Recompute => vec![(
-            QuerySession {
-                name: format!("{}/recompute@{to_epoch}", view.name),
-                plan: view.maintenance.plan.clone(),
-                epoch: to_epoch,
-                initiator,
-                arrival: SimTime::ZERO,
-                // Maintenance answers are folded into view state, not
-                // served to clients — never cached.
-                fingerprint: None,
-                estimated_cost: 0.0,
-                overrides: ScanOverrides::new(),
-                plan_resident: view.installed_base,
-            },
-            view.maintenance.fold.clone(),
-        )],
+    let demands = match mode {
+        MaintenanceMode::Recompute => vec![recompute_session(view, 0, to_epoch, initiator)],
         MaintenanceMode::Incremental => {
             let Some(from) = view.epoch else {
                 return Err(OrchestraError::Execution(format!(
@@ -962,34 +943,98 @@ pub fn refresh_view(
                     view.name
                 )));
             }
-            let legs = delta_legs(view, storage, from, to_epoch, initiator)?;
-            ran_legs = legs
-                .iter()
-                .map(|(_, _, relation)| relation.clone())
-                .collect();
-            legs.into_iter()
-                .map(|(session, fold, _)| (session, fold))
-                .collect()
+            delta_legs(view, 0, storage, from, to_epoch, initiator)
         }
     };
 
     let mut run = MaintenanceRun {
         mode,
         epoch: to_epoch,
-        legs: sessions.len(),
+        legs: demands.len(),
         shipped_bytes: 0,
         shipped_messages: 0,
         makespan: SimTime::ZERO,
         recovered: false,
         rows_folded: 0,
         sketch_fallback: false,
-        sessions: Vec::new(),
     };
-    if sessions.is_empty() {
-        // Nothing changed for any scanned relation: the view is already
-        // exact at the target epoch.
-        view.epoch = Some(to_epoch);
-        return Ok(run);
+    // No demand means nothing changed for any scanned relation: the view
+    // is already exact at the target epoch.
+    let views = std::slice::from_mut(view);
+    if let Some(round) = run_round(views, demands, storage, engine, failure.as_slice())? {
+        run.absorb(&round);
+    }
+    views[0].set_epoch(to_epoch);
+
+    // Delete-heavy retractions can exhaust a group's extremum sketch:
+    // the MIN/MAX is now among discarded runners-up and no retained
+    // state can recover it.  Fall back to one recompute — it rebuilds
+    // every sketch — and charge its traffic to this run.
+    if mode == MaintenanceMode::Incremental && views[0].sketch_exhausted() {
+        let demand = recompute_session(&views[0], 0, to_epoch, initiator);
+        if let Some(round) = run_round(views, vec![demand], storage, engine, &[])? {
+            run.absorb(&round);
+        }
+        run.sketch_fallback = true;
+        run.legs += 1;
+    }
+    Ok(run)
+}
+
+/// What a maintenance session contributes to one view.
+#[derive(Clone, Debug)]
+enum Contribution {
+    /// The session recomputes the view from scratch (initial
+    /// materialization, a recompute-only view, or a sketch fallback):
+    /// reset, then fold.
+    Recompute,
+    /// The session is the delta leg pivoting on this relation.
+    Leg(String),
+}
+
+/// One maintenance session a view demands of a refresh, and how its
+/// signed rows fold into that view.
+pub(super) struct Demand {
+    /// Index of the demanding view in the round's view slice.
+    view: usize,
+    session: QuerySession,
+    fold: FoldMode,
+    contribution: Contribution,
+}
+
+/// One maintenance round: run every demanded session once and fold each
+/// session's signed rows into every view that demanded it.
+///
+/// Sessions are deduplicated by [`session_fingerprint`] in first-demand
+/// order and run as one FIFO scheduler workload with room for all of
+/// them, with `failures` injected into the shared network.  A recompute
+/// resets its view before folding.  The completed run leaves every flow
+/// it disseminated resident at the participants, so later runs of the
+/// same flows ship parameters and snapshot only — the continuous-query
+/// property that keeps a small delta's refresh traffic proportional to
+/// the delta.  A failed round returns the error without touching any
+/// view.  Returns `None` (and runs nothing) when nothing is demanded.
+pub(super) fn run_round(
+    views: &mut [MaterializedView],
+    demands: Vec<Demand>,
+    storage: &DistributedStorage,
+    engine: &EngineConfig,
+    failures: &[FailureSpec],
+) -> Result<Option<WorkloadReport>> {
+    if demands.is_empty() {
+        return Ok(None);
+    }
+    let mut sessions: Vec<QuerySession> = Vec::new();
+    let mut members: Vec<Vec<(usize, FoldMode, Contribution)>> = Vec::new();
+    let mut by_fingerprint: BTreeMap<QueryFingerprint, usize> = BTreeMap::new();
+    for demand in demands {
+        let fp = session_fingerprint(&demand.session);
+        let slot = *by_fingerprint.entry(fp).or_insert_with(|| {
+            sessions.push(demand.session);
+            members.push(Vec::new());
+            sessions.len() - 1
+        });
+        members[slot].push((demand.view, demand.fold, demand.contribution));
     }
 
     let scheduler = SessionScheduler::new(SchedulerConfig {
@@ -998,86 +1043,76 @@ pub fn refresh_view(
         policy: AdmissionPolicy::Fifo,
         slo: None,
     });
-    let submitted: Vec<QuerySession> = sessions.iter().map(|(s, _)| s.clone()).collect();
-    let report = match failure {
-        Some(f) => scheduler.run_with_failure(storage, engine, &submitted, f)?,
-        None => scheduler.run(storage, engine, &submitted)?,
-    };
+    let report = scheduler.run(storage, engine, &sessions, failures, None)?;
 
-    // The run completed: whatever dataflows it disseminated are now
-    // resident at the participants, so later runs of the same flows
-    // ship parameters + snapshot only — the continuous-query property
-    // that keeps a small delta's refresh traffic proportional to the
-    // delta.  (A failed refresh returns above without marking anything
-    // installed.)
-    match mode {
-        MaintenanceMode::Recompute => view.installed_base = true,
-        MaintenanceMode::Incremental => {
-            for leg in &ran_legs {
-                view.installed_legs.insert(leg.clone());
+    // Fork point: each session's signed rows fold into every member
+    // view's own local state.
+    for (session, members) in report.sessions.iter().zip(&members) {
+        for (id, fold, contribution) in members {
+            let view = &mut views[*id];
+            match contribution {
+                Contribution::Recompute => {
+                    view.reset();
+                    view.installed_base = true;
+                }
+                Contribution::Leg(relation) => {
+                    view.installed_legs.insert(relation.clone());
+                }
             }
+            view.fold(fold, &session.report.signed_rows);
         }
     }
-
-    if mode == MaintenanceMode::Recompute {
-        view.reset();
-    }
-    for (session, (_, fold)) in report.sessions.iter().zip(&sessions) {
-        run.rows_folded += session.report.signed_rows.len();
-        run.recovered |= session.report.recovered;
-        view.fold(fold, &session.report.signed_rows);
-    }
-    view.epoch = Some(to_epoch);
-    run.shipped_bytes = report.total_bytes;
-    run.shipped_messages = report.total_messages;
-    run.makespan = report.makespan;
-    run.sessions = report.sessions;
-
-    // Delete-heavy retractions can exhaust a group's extremum sketch:
-    // the MIN/MAX is now among discarded runners-up and no retained
-    // state can recover it.  Fall back to one recompute — it rebuilds
-    // every sketch — and charge its traffic to this run.
-    if mode == MaintenanceMode::Incremental && view.sketch_exhausted() {
-        let recompute = refresh_view(
-            view,
-            storage,
-            engine,
-            MaintenanceMode::Recompute,
-            to_epoch,
-            initiator,
-            None,
-        )?;
-        run.sketch_fallback = true;
-        run.legs += recompute.legs;
-        run.shipped_bytes += recompute.shipped_bytes;
-        run.shipped_messages += recompute.shipped_messages;
-        run.makespan += recompute.makespan;
-        run.recovered |= recompute.recovered;
-        run.rows_folded += recompute.rows_folded;
-        run.sessions.extend(recompute.sessions);
-    }
-    Ok(run)
+    Ok(Some(report))
 }
 
-/// Build the telescoped delta-leg sessions: leg *i* runs its pivot's leg
-/// plan with scans of relations before *i* (telescoping order) pinned to
-/// the new epoch, the pivot reading the signed delta, and relations
-/// after *i* pinned to the old epoch.  Legs whose pivot relation did not
-/// change are skipped.
+/// The recompute session of view `id` at `to` — shared across views
+/// whose maintenance plans collide, like any other session.
+pub(super) fn recompute_session(
+    view: &MaterializedView,
+    id: usize,
+    to: Epoch,
+    initiator: NodeId,
+) -> Demand {
+    Demand {
+        view: id,
+        session: QuerySession {
+            name: format!("{}/recompute@{to}", view.name),
+            plan: view.maintenance.plan.clone(),
+            epoch: to,
+            initiator,
+            arrival: SimTime::ZERO,
+            // Maintenance answers are folded into view state, not served
+            // to clients — never cached.
+            fingerprint: None,
+            estimated_cost: 0.0,
+            overrides: ScanOverrides::new(),
+            plan_resident: view.installed_base,
+        },
+        fold: view.maintenance.fold.clone(),
+        contribution: Contribution::Recompute,
+    }
+}
+
+/// Build the telescoped delta-leg sessions of view `id`: leg *i* runs
+/// its pivot's leg plan with scans of relations before *i* (telescoping
+/// order) pinned to the new epoch, the pivot reading the signed delta,
+/// and relations after *i* pinned to the old epoch.  Legs whose pivot
+/// relation did not change are skipped.
 pub(super) fn delta_legs(
     view: &MaterializedView,
+    id: usize,
     storage: &DistributedStorage,
     from: Epoch,
     to: Epoch,
     initiator: NodeId,
-) -> Result<Vec<(QuerySession, FoldMode, String)>> {
+) -> Vec<Demand> {
     let order: Vec<&str> = view
         .maintenance
         .legs
         .iter()
         .map(|l| l.relation.as_str())
         .collect();
-    let mut sessions = Vec::new();
+    let mut demands = Vec::new();
     for (pivot, leg) in view.maintenance.legs.iter().enumerate() {
         // A relation whose visible version did not move between the two
         // snapshots has an empty delta; comparing version epochs is
@@ -1098,8 +1133,9 @@ pub(super) fn delta_legs(
                 std::cmp::Ordering::Greater => overrides.read_at(op, from),
             };
         }
-        sessions.push((
-            QuerySession {
+        demands.push(Demand {
+            view: id,
+            session: QuerySession {
                 name: format!("{}/Δ{}@{to}", view.name, leg.relation),
                 plan: leg.plan.clone(),
                 epoch: to,
@@ -1110,9 +1146,33 @@ pub(super) fn delta_legs(
                 overrides,
                 plan_resident: view.installed_legs.contains(&leg.relation),
             },
-            leg.fold.clone(),
-            leg.relation.clone(),
-        ));
+            fold: leg.fold.clone(),
+            contribution: Contribution::Leg(leg.relation.clone()),
+        });
     }
-    Ok(sessions)
+    demands
+}
+
+/// The canonical fingerprint a maintenance session is deduplicated by:
+/// the leg plan's full operator encoding, each leaf scan's epoch pin or
+/// delta interval (in the plan's own deterministic scan order), the
+/// session epoch, and residency.  Two views produce the same fingerprint
+/// exactly when their sessions would ship identical bytes over identical
+/// routes — the only case in which one execution can stand in for both.
+fn session_fingerprint(session: &QuerySession) -> QueryFingerprint {
+    let mut canonical = format!("{:?}@{}", session.plan, session.epoch);
+    for op in session.plan.scans() {
+        if let Some(epoch) = session.overrides.epoch_of(op) {
+            let _ = write!(canonical, "|{op:?}@{epoch}");
+        }
+        if let Some((from, to)) = session.overrides.delta_of(op) {
+            let _ = write!(canonical, "|{op:?}d{from}..{to}");
+        }
+    }
+    canonical.push_str(if session.plan_resident {
+        "|resident"
+    } else {
+        "|fresh"
+    });
+    QueryFingerprint::of_bytes(canonical.as_bytes())
 }

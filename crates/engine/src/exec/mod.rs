@@ -46,11 +46,12 @@
 //!
 //! This module is the thin driver: configuration ([`EngineConfig`],
 //! [`FailureSpec`], [`RecoveryStrategy`]) and the [`QueryExecutor`] entry
-//! points.  The layers underneath have one file each, with the `Runtime`
-//! state machine (defined in `pipeline`) threading through them:
+//! points, which submit one session to the scheduler's event loop.  The
+//! layers underneath have one file each, with the `Runtime` state
+//! machine (defined in `pipeline`) threading through them:
 //!
-//! * `pipeline` — per-node operator pipeline instantiation, the
-//!   push loop, and the end-of-stream segment-closure cascade;
+//! * `pipeline` — per-node operator pipeline instantiation, delivery
+//!   handling, and the end-of-stream segment-closure cascade;
 //! * `scan` — leaf scans over the versioned store (distributed,
 //!   replicated and covering-index);
 //! * `exchange` — rehash/ship batching, routing-snapshot consultation,
@@ -58,23 +59,23 @@
 //!   session-tagged wire envelope ([`SessionId`]);
 //! * `session` — the per-session handle onto a simulator shared by
 //!   several concurrent queries (shared-clock multiplexing);
-//! * `scheduler` — the multi-query [`SessionScheduler`]: open-loop
-//!   arrivals, admission control over a bounded run queue with load
-//!   shedding, N runtimes interleaved over one simulator, per-session
-//!   recovery, [`WorkloadReport`] assembly with tail-latency and
-//!   SLO-miss accounting;
+//! * `scheduler` — the [`SessionScheduler`], the one event loop every
+//!   query runs on: open-loop arrivals, admission control over a bounded
+//!   run queue with load shedding, N runtimes interleaved over one
+//!   simulator, a failure list, per-session recovery, [`WorkloadReport`]
+//!   assembly with tail-latency and SLO-miss accounting;
 //! * `cache` — the epoch-keyed [`ResultCache`]: complete answers
 //!   memoized under `(fingerprint, epoch)` keys with LRU or cost-aware
 //!   eviction — immutable epochs mean no invalidation logic at all;
 //! * `ivm` — incremental view maintenance: maintenance-plan rewriting,
-//!   [`MaterializedView`] state, and the [`refresh_view`] driver that
-//!   pushes signed epoch deltas through the pipeline as scheduler
-//!   sessions;
+//!   [`MaterializedView`] state, the maintenance round that runs signed
+//!   epoch deltas through the pipeline as scheduler sessions and folds
+//!   them into views, and the one-view [`refresh_view`] driver;
 //! * `registry` — the standing-query subscription layer
-//!   ([`ViewRegistry`]): many registered views kept exact by one shared
-//!   maintenance workload per epoch — deltas derived once per changed
-//!   relation, colliding delta legs executed once and forked at the
-//!   initiator — with per-subscriber signed result diffs;
+//!   ([`ViewRegistry`]): many registered views kept exact by the same
+//!   maintenance round, shared per epoch — deltas derived once per
+//!   changed relation, colliding delta legs executed once and forked at
+//!   the initiator — with per-subscriber signed result diffs;
 //! * `recovery` — the Restart and Incremental strategies;
 //! * `report` — [`QueryReport`] assembly and per-link traffic
 //!   accounting (`RunStats`).
@@ -98,9 +99,6 @@ use orchestra_common::{Epoch, NodeId, NodeSet, OrchestraError, Result};
 use orchestra_simnet::{ClusterProfile, SimTime};
 use orchestra_storage::DistributedStorage;
 use orchestra_substrate::RoutingTable;
-
-use pipeline::Runtime;
-use session::SessionSim;
 
 pub use cache::{CacheStats, CachedAnswer, EntryStats, EvictionPolicy, ResultCache};
 pub use exchange::SessionId;
@@ -220,16 +218,7 @@ impl<'a> QueryExecutor<'a> {
         epoch: Epoch,
         initiator: NodeId,
     ) -> Result<QueryReport> {
-        let sim = SessionSim::exclusive(self.storage.routing(), self.config.profile);
-        Runtime::new(
-            StorageHandle::Borrowed(self.storage),
-            &self.config,
-            plan,
-            epoch,
-            initiator,
-            sim,
-        )?
-        .run()
+        self.run_alone(self.storage, plan, epoch, initiator, &[])
     }
 
     /// Execute `plan` while killing `failure.node` at `failure.at`.
@@ -246,25 +235,7 @@ impl<'a> QueryExecutor<'a> {
         initiator: NodeId,
         failure: FailureSpec,
     ) -> Result<QueryReport> {
-        let table = self.storage.routing();
-        if !table.contains_node(failure.node) {
-            return Err(OrchestraError::Execution(format!(
-                "failure target {} is not a member of the routing table",
-                failure.node
-            )));
-        }
-        let mut sim = SessionSim::exclusive(table, self.config.profile);
-        sim.fail_node(failure.node, failure.at);
-        let scratch = Box::new(self.storage.clone());
-        Runtime::new(
-            StorageHandle::Scratch(scratch),
-            &self.config,
-            plan,
-            epoch,
-            initiator,
-            sim,
-        )?
-        .run()
+        self.run_alone(self.storage, plan, epoch, initiator, &[failure])
     }
 
     /// Execute `plan` against a possibly **stale** routing snapshot — the
@@ -296,16 +267,7 @@ impl<'a> QueryExecutor<'a> {
                 "initiator {initiator} has departed and cannot run the query"
             )));
         }
-        let mut sim = SessionSim::exclusive(snapshot, self.config.profile);
-        for node in departed.iter() {
-            // A departed node the snapshot no longer lists cannot be
-            // addressed at all (the simulator is sized to the snapshot's
-            // members), so only snapshot members need killing.
-            if snapshot.contains_node(node) {
-                sim.fail_node(node, SimTime::ZERO);
-            }
-        }
-        let mut scratch = Box::new(self.storage.clone());
+        let mut scratch = self.storage.clone();
         scratch.set_routing(snapshot.clone());
         // The departed nodes' local state is unreachable from the first
         // instant: storage lookups must fail over to surviving replicas
@@ -313,14 +275,45 @@ impl<'a> QueryExecutor<'a> {
         for node in departed.iter() {
             scratch.mark_failed(node);
         }
-        Runtime::new(
-            StorageHandle::Scratch(scratch),
-            &self.config,
-            plan,
+        // A departed node the snapshot no longer lists cannot be addressed
+        // at all (the simulator is sized to the snapshot's members), so
+        // only snapshot members need killing.
+        let failures: Vec<FailureSpec> = departed
+            .iter()
+            .filter(|&node| snapshot.contains_node(node))
+            .map(|node| FailureSpec::at_time(node, SimTime::ZERO))
+            .collect();
+        self.run_alone(&scratch, plan, epoch, initiator, &failures)
+    }
+
+    /// Run `plan` as the only session of a scheduler workload over
+    /// `storage` — stand-alone queries share the scheduler's event loop
+    /// and recovery path.
+    fn run_alone(
+        &self,
+        storage: &DistributedStorage,
+        plan: &PhysicalPlan,
+        epoch: Epoch,
+        initiator: NodeId,
+        failures: &[FailureSpec],
+    ) -> Result<QueryReport> {
+        let session = QuerySession {
+            name: "ad-hoc query".into(),
+            plan: plan.clone(),
             epoch,
             initiator,
-            sim,
-        )?
-        .run()
+            arrival: SimTime::ZERO,
+            fingerprint: None,
+            estimated_cost: 0.0,
+            overrides: ScanOverrides::new(),
+            plan_resident: false,
+        };
+        let mut workload =
+            SessionScheduler::default().run(storage, &self.config, &[session], failures, None)?;
+        let finished = workload
+            .sessions
+            .pop()
+            .expect("a lone session is never shed");
+        Ok(finished.report)
     }
 }

@@ -1,8 +1,9 @@
 //! Per-node operator pipelines and the push loop.
 //!
 //! `Runtime` is all mutable state of one query execution.  This module
-//! owns the event loop (`run`/`handle`), instantiates the local operator
-//! pipeline on every participant when the plan arrives, pushes rows from
+//! handles the deliveries the scheduler's event loop dispatches to it
+//! (`handle`), instantiates the local operator pipeline on every
+//! participant when the plan arrives, pushes rows from
 //! operator to operator (`process_at`), and drives the end-of-stream
 //! segment-closure cascade that completes the query.  Scans, exchange
 //! batching, recovery and report assembly live in the sibling modules —
@@ -15,7 +16,7 @@ use super::exchange::{ExchangeLayer, Payload, EOS_BYTES};
 use super::ivm::ScanOverrides;
 use super::report::RunStats;
 use super::session::SessionSim;
-use super::{EngineConfig, QueryReport, StorageHandle};
+use super::{EngineConfig, StorageHandle};
 use crate::batch::TupleBatch;
 use crate::expr::ScalarExpr;
 use crate::ops::{AggState, JoinState};
@@ -179,10 +180,9 @@ impl<'a> Runtime<'a> {
         })
     }
 
-    /// Start the query at virtual time `at`: set up this phase's
-    /// end-of-stream expectations and disseminate plan + snapshot.  The
-    /// stand-alone executor starts at time zero; the scheduler starts
-    /// each session at its admission instant.
+    /// Start the query at virtual time `at` (the session's admission
+    /// instant): set up this phase's end-of-stream expectations and
+    /// disseminate plan + snapshot.
     pub(super) fn begin(&mut self, at: SimTime) {
         self.reset_eos_counters();
         self.disseminate(at);
@@ -191,35 +191,6 @@ impl<'a> Runtime<'a> {
     /// Has this session exhausted its recovery-round budget?
     pub(super) fn rounds_exhausted(&self) -> bool {
         self.stats.rounds >= self.config.max_recovery_rounds
-    }
-
-    /// Drive the query to completion over an exclusively owned
-    /// simulator.  The multi-query scheduler replaces this loop with its
-    /// own (shared) one, dispatching deliveries by session tag.
-    pub(super) fn run(mut self) -> Result<QueryReport> {
-        self.begin(SimTime::ZERO);
-        loop {
-            while let Some(d) = self.sim.next_own() {
-                self.handle(d)?;
-            }
-            if self.done {
-                break;
-            }
-            let failed = self.sim.failed_nodes_at(self.sim.now());
-            if failed.is_empty() {
-                return Err(OrchestraError::Execution(
-                    "query stalled with no failed node (engine bug)".into(),
-                ));
-            }
-            if self.rounds_exhausted() {
-                return Err(OrchestraError::Execution(format!(
-                    "query did not complete within {} recovery rounds",
-                    self.config.max_recovery_rounds
-                )));
-            }
-            self.recover(&failed)?;
-        }
-        Ok(self.into_report())
     }
 
     // ------------------------------------------------------------------

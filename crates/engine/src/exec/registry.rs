@@ -16,53 +16,35 @@
 //! 2. **Leg sharing by plan fingerprint** — every delta-leg session a
 //!    view demands is canonically encoded (leg plan, per-scan epoch
 //!    pins/delta intervals, residency) and fingerprinted with the same
-//!    [`QueryFingerprint`] machinery the result cache keys on.  Views
-//!    whose legs collide — same pivot relation, same join prefix, same
-//!    telescoped reads — execute the common segment **once**; the shared
-//!    session's signed rows fork at the initiator, folding into every
-//!    member view's own accumulator state (the divergence point: the
-//!    stripped initiator-side aggregate is per-view local state, never
-//!    shipped).
+//!    [`QueryFingerprint`](orchestra_common::QueryFingerprint) machinery
+//!    the result cache keys on.  Views whose legs collide — same pivot
+//!    relation, same join prefix, same telescoped reads — execute the
+//!    common segment **once**; the shared session's signed rows fork at
+//!    the initiator, folding into every member view's own accumulator
+//!    state (the divergence point: the stripped initiator-side
+//!    aggregate is per-view local state, never shipped).
 //! 3. **Per-view diff shipping** — after folding, each subscriber is
 //!    notified with a *signed result diff* against its last acknowledged
 //!    answer (insert/retract rows, the same ±1 sign convention the delta
 //!    legs push), with exact shipped-byte accounting.  Diff bytes are
 //!    reported separately from maintenance traffic and from result-cache
 //!    savings, so serving JSON never double-counts.
-//! 4. **One scheduler workload per epoch** — all shared sessions of a
-//!    refresh run under a single [`SessionScheduler`] submission, so
-//!    fan-out maintenance multiplexes the same simulated network as
-//!    ad-hoc traffic and inherits admission, shedding and
-//!    failure-recovery semantics unchanged (a [`FailureSpec`] interrupts
-//!    the whole refresh and every session recovers like any query).
+//! 4. **One maintenance round per epoch** — all shared sessions of a
+//!    refresh run in the same round [`super::refresh_view`] runs for a
+//!    single view: one [`super::SessionScheduler`] submission, so fan-out
+//!    maintenance multiplexes the same simulated network as ad-hoc
+//!    traffic and inherits admission, shedding and failure-recovery
+//!    semantics unchanged (a [`FailureSpec`] interrupts the whole
+//!    refresh and every session recovers like any query).  A sketch
+//!    fallback is a second round of recomputes.
 
-use super::ivm::{delta_legs, FoldMode, MaterializedView, ScanOverrides};
-use super::scheduler::{
-    AdmissionPolicy, QuerySession, SchedulerConfig, SessionScheduler, WorkloadReport,
-};
+use super::ivm::{delta_legs, recompute_session, run_round, Demand, MaterializedView};
+use super::scheduler::WorkloadReport;
 use super::{EngineConfig, FailureSpec};
 use crate::plan::PhysicalPlan;
-use orchestra_common::{Epoch, NodeId, OrchestraError, QueryFingerprint, Result, Tuple};
+use orchestra_common::{Epoch, NodeId, OrchestraError, Result, Tuple};
 use orchestra_simnet::SimTime;
 use orchestra_storage::DistributedStorage;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// What a shared session contributes to one member view.
-#[derive(Clone, Debug)]
-enum Contribution {
-    /// The session recomputes the view from scratch (initial
-    /// materialization, or a recompute-only view): reset, then fold.
-    Recompute,
-    /// The session is the delta leg pivoting on this relation.
-    Leg(String),
-}
-
-/// One shared maintenance session and the views it feeds.
-struct SharedSession {
-    session: QuerySession,
-    members: Vec<(usize, FoldMode, Contribution)>,
-}
 
 /// The signed result diff shipped to one subscriber after a refresh —
 /// the rows to insert into and retract from its last acknowledged
@@ -116,6 +98,17 @@ pub struct RegistryRefresh {
     pub sketch_fallbacks: usize,
     /// Per-subscriber signed diffs, in registration order.
     pub diffs: Vec<ViewDiff>,
+}
+
+impl RegistryRefresh {
+    /// Add one maintenance round's measurements to the totals.
+    fn absorb(&mut self, round: &WorkloadReport) {
+        self.sessions_run += round.sessions.len();
+        self.shipped_bytes += round.total_bytes;
+        self.shipped_messages += round.total_messages;
+        self.makespan += round.makespan;
+        self.recovered |= round.sessions.iter().any(|s| s.report.recovered);
+    }
 }
 
 /// A subscription layer over the IVM machinery: registered views are
@@ -206,56 +199,36 @@ impl ViewRegistry {
             ));
         }
         let derivations_before = storage.delta_derivations();
-        let mut shared: Vec<SharedSession> = Vec::new();
-        let mut by_fingerprint: BTreeMap<QueryFingerprint, usize> = BTreeMap::new();
-        let mut leg_instances = 0usize;
-
+        let mut demands: Vec<Demand> = Vec::new();
         for (id, view) in self.views.iter().enumerate() {
-            let demanded: Vec<(QuerySession, FoldMode, Contribution)> = match view.epoch() {
+            match view.epoch() {
                 // Unprimed (or recompute-only) views materialize from a
                 // full run of the maintenance plan at the target epoch.
-                None => vec![recompute_session(view, to_epoch, self.initiator)],
-                Some(from) if from == to_epoch => Vec::new(),
+                None => demands.push(recompute_session(view, id, to_epoch, self.initiator)),
+                Some(from) if from == to_epoch => {}
                 Some(from) if from > to_epoch => {
                     return Err(OrchestraError::Execution(format!(
                         "view {} already reflects {from}, cannot refresh backwards to {to_epoch}",
                         view.name()
                     )));
                 }
-                Some(from) => {
-                    if view.supports_incremental() {
-                        delta_legs(view, storage, from, to_epoch, self.initiator)?
-                            .into_iter()
-                            .map(|(session, fold, relation)| {
-                                (session, fold, Contribution::Leg(relation))
-                            })
-                            .collect()
-                    } else {
-                        vec![recompute_session(view, to_epoch, self.initiator)]
-                    }
-                }
-            };
-            for (session, fold, contribution) in demanded {
-                leg_instances += 1;
-                let fp = session_fingerprint(&session);
-                match by_fingerprint.get(&fp) {
-                    Some(&slot) => shared[slot].members.push((id, fold, contribution)),
-                    None => {
-                        by_fingerprint.insert(fp, shared.len());
-                        shared.push(SharedSession {
-                            session,
-                            members: vec![(id, fold, contribution)],
-                        });
-                    }
-                }
+                Some(from) if view.supports_incremental() => demands.extend(delta_legs(
+                    view,
+                    id,
+                    storage,
+                    from,
+                    to_epoch,
+                    self.initiator,
+                )),
+                Some(_) => demands.push(recompute_session(view, id, to_epoch, self.initiator)),
             }
         }
 
         let mut refresh = RegistryRefresh {
             epoch: to_epoch,
             views: self.views.len(),
-            leg_instances,
-            sessions_run: shared.len(),
+            leg_instances: demands.len(),
+            sessions_run: 0,
             shipped_bytes: 0,
             shipped_messages: 0,
             diff_bytes: 0,
@@ -265,98 +238,31 @@ impl ViewRegistry {
             sketch_fallbacks: 0,
             diffs: Vec::new(),
         };
-
-        if !shared.is_empty() {
-            let scheduler = SessionScheduler::new(SchedulerConfig {
-                max_concurrent: shared.len(),
-                queue_capacity: shared.len(),
-                policy: AdmissionPolicy::Fifo,
-                slo: None,
-            });
-            let submitted: Vec<QuerySession> = shared.iter().map(|g| g.session.clone()).collect();
-            let report: WorkloadReport = match failure {
-                Some(f) => scheduler.run_with_failure(storage, engine, &submitted, f)?,
-                None => scheduler.run(storage, engine, &submitted)?,
-            };
-
-            // Fork point: each shared session's signed rows fold into
-            // every member view's own local state.  The completed run
-            // also marks the shared dataflows resident, so the next
-            // epoch ships parameters only.
-            for (session_report, group) in report.sessions.iter().zip(&shared) {
-                refresh.recovered |= session_report.report.recovered;
-                for (id, fold, contribution) in &group.members {
-                    let view = &mut self.views[*id];
-                    match contribution {
-                        Contribution::Recompute => {
-                            view.reset();
-                            view.fold(fold, &session_report.report.signed_rows);
-                            view.mark_base_installed();
-                        }
-                        Contribution::Leg(relation) => {
-                            view.fold(fold, &session_report.report.signed_rows);
-                            view.mark_leg_installed(relation);
-                        }
-                    }
-                }
-            }
-            refresh.shipped_bytes = report.total_bytes;
-            refresh.shipped_messages = report.total_messages;
-            refresh.makespan = report.makespan;
+        if let Some(round) = run_round(
+            &mut self.views,
+            demands,
+            storage,
+            engine,
+            failure.as_slice(),
+        )? {
+            refresh.absorb(&round);
         }
 
         // Delete-heavy retractions can exhaust a view's extremum
         // sketches: its MIN/MAX is now among discarded runners-up.  Run
         // one recompute per affected view (deduplicated like any other
         // session) to rebuild the sketches before diffs are shipped.
-        let exhausted: Vec<usize> = self
+        let fallback: Vec<Demand> = self
             .views
             .iter()
             .enumerate()
             .filter(|(_, v)| v.sketch_exhausted())
-            .map(|(id, _)| id)
+            .map(|(id, v)| recompute_session(v, id, to_epoch, self.initiator))
             .collect();
-        if !exhausted.is_empty() {
-            let mut fallback: Vec<SharedSession> = Vec::new();
-            let mut by_fingerprint: BTreeMap<QueryFingerprint, usize> = BTreeMap::new();
-            for &id in &exhausted {
-                let (session, fold, contribution) =
-                    recompute_session(&self.views[id], to_epoch, self.initiator);
-                let fp = session_fingerprint(&session);
-                match by_fingerprint.get(&fp) {
-                    Some(&slot) => fallback[slot].members.push((id, fold, contribution)),
-                    None => {
-                        by_fingerprint.insert(fp, fallback.len());
-                        fallback.push(SharedSession {
-                            session,
-                            members: vec![(id, fold, contribution)],
-                        });
-                    }
-                }
-            }
-            let scheduler = SessionScheduler::new(SchedulerConfig {
-                max_concurrent: fallback.len(),
-                queue_capacity: fallback.len(),
-                policy: AdmissionPolicy::Fifo,
-                slo: None,
-            });
-            let submitted: Vec<QuerySession> = fallback.iter().map(|g| g.session.clone()).collect();
-            let report = scheduler.run(storage, engine, &submitted)?;
-            for (session_report, group) in report.sessions.iter().zip(&fallback) {
-                refresh.recovered |= session_report.report.recovered;
-                for (id, fold, _) in &group.members {
-                    let view = &mut self.views[*id];
-                    view.reset();
-                    view.fold(fold, &session_report.report.signed_rows);
-                    view.mark_base_installed();
-                }
-            }
-            refresh.leg_instances += exhausted.len();
-            refresh.sessions_run += fallback.len();
-            refresh.shipped_bytes += report.total_bytes;
-            refresh.shipped_messages += report.total_messages;
-            refresh.makespan += report.makespan;
-            refresh.sketch_fallbacks = exhausted.len();
+        refresh.leg_instances += fallback.len();
+        refresh.sketch_fallbacks = fallback.len();
+        if let Some(round) = run_round(&mut self.views, fallback, storage, engine, &[])? {
+            refresh.absorb(&round);
         }
 
         for (id, view) in self.views.iter_mut().enumerate() {
@@ -381,54 +287,6 @@ impl ViewRegistry {
         refresh.delta_derivations = storage.delta_derivations() - derivations_before;
         Ok(refresh)
     }
-}
-
-/// The recompute session of one view at `to` — shared across views whose
-/// maintenance plans collide, like any other session.
-fn recompute_session(
-    view: &MaterializedView,
-    to: Epoch,
-    initiator: NodeId,
-) -> (QuerySession, FoldMode, Contribution) {
-    (
-        QuerySession {
-            name: format!("{}/recompute@{to}", view.name()),
-            plan: view.maintenance().plan().clone(),
-            epoch: to,
-            initiator,
-            arrival: SimTime::ZERO,
-            fingerprint: None,
-            estimated_cost: 0.0,
-            overrides: ScanOverrides::new(),
-            plan_resident: view.base_installed(),
-        },
-        view.maintenance().fold().clone(),
-        Contribution::Recompute,
-    )
-}
-
-/// The canonical fingerprint a maintenance session is deduplicated by:
-/// the leg plan's full operator encoding, each leaf scan's epoch pin or
-/// delta interval (in the plan's own deterministic scan order), the
-/// session epoch, and residency.  Two views produce the same fingerprint
-/// exactly when their sessions would ship identical bytes over identical
-/// routes — the only case in which one execution can stand in for both.
-fn session_fingerprint(session: &QuerySession) -> QueryFingerprint {
-    let mut canonical = format!("{:?}@{}", session.plan, session.epoch);
-    for op in session.plan.scans() {
-        if let Some(epoch) = session.overrides.epoch_of(op) {
-            let _ = write!(canonical, "|{op:?}@{epoch}");
-        }
-        if let Some((from, to)) = session.overrides.delta_of(op) {
-            let _ = write!(canonical, "|{op:?}d{from}..{to}");
-        }
-    }
-    canonical.push_str(if session.plan_resident {
-        "|resident"
-    } else {
-        "|fresh"
-    });
-    QueryFingerprint::of_bytes(canonical.as_bytes())
 }
 
 /// Signed diff of two sorted answers: `(inserts, retracts)` such that

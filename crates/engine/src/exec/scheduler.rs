@@ -1,11 +1,12 @@
-//! The multi-query session scheduler.
+//! The session scheduler: the one event loop every query runs on.
 //!
-//! Every layer below this one runs exactly one query over a dedicated
-//! simulated network.  [`SessionScheduler`] is what turns the executor
-//! into a *serving* system: it drives N query runtimes interleaved over
+//! The layers below this one hold the state of a single query.
+//! [`SessionScheduler::run`] drives N query runtimes interleaved over
 //! **one** shared simulator, so batches from different queries contend
 //! for the same uplinks, downlinks and CPUs, and the clock advances
-//! globally rather than per query.
+//! globally rather than per query.  A stand-alone
+//! [`super::QueryExecutor`] query is the one-session case of the same
+//! loop, and view maintenance submits its sessions here too.
 //!
 //! ## Arrivals
 //!
@@ -37,7 +38,7 @@
 //!
 //! ## Result cache
 //!
-//! [`SessionScheduler::run_serving`] consults a [`ResultCache`] at each
+//! Given a [`ResultCache`], [`SessionScheduler::run`] consults it at each
 //! session's arrival instant: if the session's
 //! [`fingerprint`](QuerySession::fingerprint) has a cached answer *for
 //! the session's epoch*, the answer is served immediately — zero
@@ -52,14 +53,15 @@
 //!
 //! ## Failures
 //!
-//! A [`super::FailureSpec`] kills a node *of the shared network*: every
-//! in-flight session loses its deliveries to and from the victim at
-//! once.  When the event queue quiesces with sessions incomplete, the
-//! scheduler runs each stalled session's own recovery (Restart or
-//! Incremental, per the engine config) — the per-session wire tags
-//! ([`SessionId`]) are what keep one query's purge/retransmission from
-//! touching another's state.  Sessions admitted after the failure execute on the
-//! survivors from the start via the same recovery path.
+//! Each [`super::FailureSpec`] of a run's failure list kills a node *of
+//! the shared network*: every in-flight session loses its deliveries to
+//! and from the victim at once.  When the event queue quiesces with
+//! sessions incomplete, the scheduler runs each stalled session's own
+//! recovery (Restart or Incremental, per the engine config) — the
+//! per-session wire tags ([`SessionId`]) are what keep one query's
+//! purge/retransmission from touching another's state.  Sessions
+//! admitted after the failure execute on the survivors from the start
+//! via the same recovery path.
 //!
 //! ## Reports
 //!
@@ -261,65 +263,24 @@ impl SessionScheduler {
         &self.config
     }
 
-    /// Run `sessions` to completion over `storage`, failure-free and
-    /// uncached.
+    /// Run `sessions` to completion over `storage` — the one event loop
+    /// every query runs on, stand-alone or scheduled.
+    ///
+    /// Each entry of `failures` kills its node at its instant on the
+    /// shared network, hitting every in-flight session at once (an empty
+    /// slice runs failure-free).  Each session recovers under
+    /// `engine.strategy` against its own scratch copy of the storage.
+    ///
+    /// With a `cache`, it is consulted at every arrival and filled by
+    /// every completion — the serving configuration.  The cache outlives
+    /// the run (pass it again after a publication: the bumped epoch misses
+    /// naturally), and only *completed* (post-recovery) answers fill it.
     pub fn run(
         &self,
         storage: &DistributedStorage,
         engine: &EngineConfig,
         sessions: &[QuerySession],
-    ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, sessions, None, None)
-    }
-
-    /// Run `sessions` while killing `failure.node` at `failure.at` on the
-    /// shared network — every in-flight session is hit at once.  Each
-    /// session recovers under `engine.strategy` against its own scratch
-    /// copy of the storage, exactly like a stand-alone failure run.
-    pub fn run_with_failure(
-        &self,
-        storage: &DistributedStorage,
-        engine: &EngineConfig,
-        sessions: &[QuerySession],
-        failure: FailureSpec,
-    ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, sessions, Some(failure), None)
-    }
-
-    /// Run `sessions` with `cache` consulted at every arrival and filled
-    /// by every completion — the serving configuration.  The cache
-    /// outlives the run (pass it again after a publication: the bumped
-    /// epoch misses naturally).
-    pub fn run_serving(
-        &self,
-        storage: &DistributedStorage,
-        engine: &EngineConfig,
-        sessions: &[QuerySession],
-        cache: &mut ResultCache,
-    ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, sessions, None, Some(cache))
-    }
-
-    /// The serving configuration with a node failure injected — cached
-    /// answers keep being served while in-flight executions recover, and
-    /// only *completed* (post-recovery) answers fill the cache.
-    pub fn run_serving_with_failure(
-        &self,
-        storage: &DistributedStorage,
-        engine: &EngineConfig,
-        sessions: &[QuerySession],
-        failure: FailureSpec,
-        cache: &mut ResultCache,
-    ) -> Result<WorkloadReport> {
-        self.run_inner(storage, engine, sessions, Some(failure), Some(cache))
-    }
-
-    fn run_inner(
-        &self,
-        storage: &DistributedStorage,
-        engine: &EngineConfig,
-        sessions: &[QuerySession],
-        failure: Option<FailureSpec>,
+        failures: &[FailureSpec],
         mut cache: Option<&mut ResultCache>,
     ) -> Result<WorkloadReport> {
         if sessions.is_empty() {
@@ -341,17 +302,14 @@ impl SessionScheduler {
                 )));
             }
         }
-        if let Some(f) = failure {
+        let shared: SharedSim = shared_sim(table, engine.profile);
+        for f in failures {
             if !table.contains_node(f.node) {
                 return Err(OrchestraError::Execution(format!(
                     "failure target {} is not a member of the routing table",
                     f.node
                 )));
             }
-        }
-
-        let shared: SharedSim = shared_sim(table, engine.profile);
-        if let Some(f) = failure {
             shared.borrow_mut().fail_node(f.node, f.at);
         }
 
@@ -427,7 +385,7 @@ impl SessionScheduler {
                 // without disturbing the caller (or the other sessions).
                 // The copy shares the caller's data copy-on-write, so it
                 // costs reference counts, not tuples.
-                let handle = if failure.is_some() {
+                let handle = if !failures.is_empty() {
                     StorageHandle::Scratch(Box::new(storage.clone()))
                 } else {
                     StorageHandle::Borrowed(storage)

@@ -8,22 +8,19 @@
 //! count so a [`super::QueryReport`] stays per-query exact even when the
 //! underlying links, CPUs and clock are contended by other sessions.
 //!
-//! A stand-alone [`super::QueryExecutor`] run builds an *exclusive*
-//! handle — a shared simulator with exactly one session — and drives the
-//! event loop itself through [`SessionSim::next_own`].  The multi-query
-//! scheduler (`scheduler`) instead owns the pop loop, attaches one
-//! handle per admitted session, and dispatches each delivery by its
-//! envelope tag.
+//! The scheduler (`scheduler`) owns the pop loop — for a stand-alone
+//! [`super::QueryExecutor`] query as much as for a serving workload — and
+//! attaches one handle per admitted session, dispatching each delivery
+//! by its envelope tag.
 
 use super::exchange::{Payload, SessionId, Wire};
 use orchestra_common::{NodeId, NodeSet};
-use orchestra_simnet::{ClusterProfile, Delivery, SimTime, Simulator, TrafficStats};
+use orchestra_simnet::{ClusterProfile, SimTime, Simulator, TrafficStats};
 use orchestra_substrate::RoutingTable;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A simulator shared by every session of one scheduler run (or owned
-/// outright by a single query).  Single-threaded by construction, hence
+/// A simulator shared by every session of one scheduler run.  Single-threaded by construction, hence
 /// `Rc<RefCell<..>>` rather than locks.
 pub(super) type SharedSim = Rc<RefCell<Simulator<Wire>>>;
 
@@ -65,21 +62,9 @@ impl SessionSim {
         }
     }
 
-    /// A handle over a fresh simulator of its own — the stand-alone
-    /// `QueryExecutor` configuration, where the query is session 0 and
-    /// nothing contends with it.
-    pub(super) fn exclusive(table: &RoutingTable, profile: ClusterProfile) -> SessionSim {
-        SessionSim::attach(shared_sim(table, profile), SessionId(0))
-    }
-
     /// Current virtual time of the shared clock.
     pub(super) fn now(&self) -> SimTime {
         self.shared.borrow().now()
-    }
-
-    /// Mark `node` failed from `at` onwards (affects every session).
-    pub(super) fn fail_node(&mut self, node: NodeId, at: SimTime) {
-        self.shared.borrow_mut().fail_node(node, at);
     }
 
     /// The set of nodes failed as of `at`.
@@ -146,35 +131,6 @@ impl SessionSim {
             None => {
                 self.dropped += 1;
                 None
-            }
-        }
-    }
-
-    /// Pop the next delivery of an *exclusively owned* simulator,
-    /// unwrapping the envelope and attributing receiver-side drops to
-    /// this session.  Must not be used on a simulator other sessions are
-    /// attached to — their deliveries would be misattributed.
-    pub(super) fn next_own(&mut self) -> Option<Delivery<Payload>> {
-        loop {
-            let popped = self.shared.borrow_mut().next_any();
-            match popped {
-                None => return None,
-                Some((d, delivered)) => {
-                    debug_assert_eq!(
-                        d.payload.session, self.session,
-                        "next_own popped another session's delivery"
-                    );
-                    if !delivered {
-                        self.dropped += 1;
-                        continue;
-                    }
-                    return Some(Delivery {
-                        time: d.time,
-                        from: d.from,
-                        to: d.to,
-                        payload: d.payload.payload,
-                    });
-                }
             }
         }
     }

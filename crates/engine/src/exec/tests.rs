@@ -499,6 +499,8 @@ fn single_session_workload_matches_the_stand_alone_executor() {
             &s,
             &config,
             &[session("only", scan_ship_plan(), Epoch(0), 1.0)],
+            &[],
+            None,
         )
         .unwrap();
     assert_eq!(workload.sessions.len(), 1);
@@ -534,7 +536,7 @@ fn concurrent_sessions_share_the_network_and_keep_their_answers() {
         session("join", join_plan(), Epoch(1), 2.0),
         session("agg", agg_plan(), Epoch(1), 1.0),
     ];
-    let workload = scheduler.run(&s, &config, &sessions).unwrap();
+    let workload = scheduler.run(&s, &config, &sessions, &[], None).unwrap();
 
     // Every query keeps its exact stand-alone answer despite contending
     // for the same links, CPUs and clock.
@@ -577,7 +579,7 @@ fn fifo_and_cost_first_admission_orders_are_deterministic() {
             policy,
             ..SchedulerConfig::default()
         });
-        scheduler.run(&s, &config, &sessions).unwrap()
+        scheduler.run(&s, &config, &sessions, &[], None).unwrap()
     };
 
     let fifo = run(AdmissionPolicy::Fifo);
@@ -621,7 +623,7 @@ fn run_queue_overflow_sheds_instead_of_erroring() {
     // A burst beyond the queue bound drops the overflow as a recorded
     // shed event — the overloaded server answers what it admitted.
     let workload = scheduler
-        .run(&s, &EngineConfig::default(), &sessions)
+        .run(&s, &EngineConfig::default(), &sessions, &[], None)
         .unwrap();
     assert_eq!(workload.sessions.len(), 2);
     assert_eq!(workload.shed.len(), 1);
@@ -637,7 +639,7 @@ fn run_queue_overflow_sheds_instead_of_erroring() {
     // Within the bound, nothing is shed and concurrency never exceeds
     // the configured slots.
     let workload = scheduler
-        .run(&s, &EngineConfig::default(), &sessions[..2])
+        .run(&s, &EngineConfig::default(), &sessions[..2], &[], None)
         .unwrap();
     assert!(workload.shed.is_empty());
     assert!(workload.peak_concurrency <= 2);
@@ -659,6 +661,8 @@ fn staggered_arrivals_split_latency_into_wait_and_service() {
             &s,
             &config,
             &[session("solo", scan_ship_plan(), Epoch(0), 1.0)],
+            &[],
+            None,
         )
         .unwrap();
     let service = solo.sessions[0].latency;
@@ -673,7 +677,7 @@ fn staggered_arrivals_split_latency_into_wait_and_service() {
     // long after everything drained (the clock must jump to it).
     sessions[1].arrival = SimTime::from_micros(service.as_micros() / 2);
     sessions[2].arrival = SimTime::from_micros(service.as_micros() * 10);
-    let workload = scheduler.run(&s, &config, &sessions).unwrap();
+    let workload = scheduler.run(&s, &config, &sessions, &[], None).unwrap();
     let [first, second, third] = &workload.sessions[..] else {
         panic!("all three sessions complete");
     };
@@ -726,7 +730,7 @@ fn serving_hits_cache_within_an_epoch_and_misses_across_publications() {
 
     // Cold: executes, fills the cache.
     let cold = scheduler
-        .run_serving(&s, &config, &[q.clone()], &mut cache)
+        .run(&s, &config, &[q.clone()], &[], Some(&mut cache))
         .unwrap();
     assert!(!cold.sessions[0].served_from_cache);
     assert_eq!(cold.cache.misses, 1);
@@ -735,7 +739,7 @@ fn serving_hits_cache_within_an_epoch_and_misses_across_publications() {
 
     // Warm: the identical answer at zero latency and zero traffic.
     let warm = scheduler
-        .run_serving(&s, &config, &[q.clone()], &mut cache)
+        .run(&s, &config, &[q.clone()], &[], Some(&mut cache))
         .unwrap();
     assert!(warm.sessions[0].served_from_cache);
     assert_eq!(warm.sessions[0].latency, SimTime::ZERO);
@@ -754,7 +758,7 @@ fn serving_hits_cache_within_an_epoch_and_misses_across_publications() {
     s.publish(&b).unwrap(); // epoch 1
     q.epoch = Epoch(1);
     let bumped = scheduler
-        .run_serving(&s, &config, &[q.clone()], &mut cache)
+        .run(&s, &config, &[q.clone()], &[], Some(&mut cache))
         .unwrap();
     assert!(!bumped.sessions[0].served_from_cache);
     assert_eq!(bumped.cache.misses, 1);
@@ -777,7 +781,7 @@ fn cache_fill_survives_a_mid_query_failure_and_serves_the_recovered_answer() {
     let mut q = session("q", scan_ship_plan(), Epoch(0), 1.0);
     q.fingerprint = Some(fp("scan_ship"));
     let scheduler = SessionScheduler::new(SchedulerConfig::default());
-    let baseline = scheduler.run(&s, &config, &[q.clone()]).unwrap();
+    let baseline = scheduler.run(&s, &config, &[q.clone()], &[], None).unwrap();
     let failure = FailureSpec::at_time(
         NodeId(4),
         SimTime::from_micros(baseline.makespan.as_micros() / 2),
@@ -785,7 +789,7 @@ fn cache_fill_survives_a_mid_query_failure_and_serves_the_recovered_answer() {
 
     let mut cache = ResultCache::new(8, EvictionPolicy::Lru);
     let failed_run = scheduler
-        .run_serving_with_failure(&s, &config, &[q.clone()], failure, &mut cache)
+        .run(&s, &config, &[q.clone()], &[failure], Some(&mut cache))
         .unwrap();
     assert!(failed_run.sessions[0].report.recovered);
     assert_eq!(failed_run.sessions[0].report.rows, expected);
@@ -793,7 +797,7 @@ fn cache_fill_survives_a_mid_query_failure_and_serves_the_recovered_answer() {
     // after the failure run returns it verbatim.
     assert_eq!(cache.stats().insertions, 1);
     let warm = scheduler
-        .run_serving(&s, &config, &[q], &mut cache)
+        .run(&s, &config, &[q], &[], Some(&mut cache))
         .unwrap();
     assert!(warm.sessions[0].served_from_cache);
     assert_eq!(warm.sessions[0].report.rows, expected);
@@ -813,7 +817,7 @@ fn workload_report_percentiles_and_slo_misses_track_latencies() {
         max_concurrent: 1,
         ..SchedulerConfig::default()
     })
-    .run(&s, &config, &sessions[..1])
+    .run(&s, &config, &sessions[..1], &[], None)
     .unwrap()
     .sessions[0]
         .latency;
@@ -823,7 +827,7 @@ fn workload_report_percentiles_and_slo_misses_track_latencies() {
         slo: Some(service), // only the first session can meet this
         ..SchedulerConfig::default()
     })
-    .run(&s, &config, &sessions)
+    .run(&s, &config, &sessions, &[], None)
     .unwrap();
     let mut latencies: Vec<SimTime> = workload.sessions.iter().map(|sr| sr.latency).collect();
     latencies.sort();
@@ -850,7 +854,7 @@ fn concurrency_reduces_makespan_over_serial_execution() {
             max_concurrent: slots,
             ..SchedulerConfig::default()
         })
-        .run(&s, &config, &sessions)
+        .run(&s, &config, &sessions, &[], None)
         .unwrap()
     };
     let serial = run(1);
@@ -892,6 +896,8 @@ fn failure_during_concurrent_sessions_recovers_each_one() {
             session("join", join_plan(), Epoch(1), 2.0),
             session("agg", agg_plan(), Epoch(1), 3.0),
         ],
+        &[],
+        None,
     )
     .unwrap();
 
@@ -908,7 +914,7 @@ fn failure_during_concurrent_sessions_recovers_each_one() {
             max_concurrent: 3,
             ..SchedulerConfig::default()
         })
-        .run_with_failure(
+        .run(
             &s,
             &run_config,
             &[
@@ -916,7 +922,8 @@ fn failure_during_concurrent_sessions_recovers_each_one() {
                 session("join", join_plan(), Epoch(1), 2.0),
                 session("agg", agg_plan(), Epoch(1), 3.0),
             ],
-            failure,
+            &[failure],
+            None,
         )
         .unwrap();
         let recovered = workload
@@ -1387,6 +1394,8 @@ fn epoch_pinned_scans_read_the_past() {
                 overrides,
                 plan_resident: false,
             }],
+            &[],
+            None,
         )
         .unwrap();
     assert_eq!(
@@ -1542,4 +1551,117 @@ fn registry_refresh_survives_a_mid_maintenance_failure() {
             "join-{i} must survive the failure exactly"
         );
     }
+}
+
+/// Refresh `view` with [`refresh_view`] and `registry` (holding one copy
+/// of the same view) to `epoch`, and require both drivers to land on the
+/// same answer at the same simulated cost.  The first refresh of an
+/// unprimed view recomputes; later ones are incremental.
+fn refresh_both(
+    view: &mut MaterializedView,
+    registry: &mut ViewRegistry,
+    s: &DistributedStorage,
+    epoch: Epoch,
+    failure: Option<FailureSpec>,
+) -> MaintenanceRun {
+    let mode = match view.epoch() {
+        None => MaintenanceMode::Recompute,
+        Some(_) => MaintenanceMode::Incremental,
+    };
+    let config = EngineConfig::default();
+    let run = refresh_view(view, s, &config, mode, epoch, NodeId(0), failure).unwrap();
+    let refresh = registry.refresh(s, &config, epoch, failure).unwrap();
+    assert_eq!(
+        registry.view(0).answer(),
+        view.answer(),
+        "answer at {epoch}"
+    );
+    assert_eq!(
+        (
+            refresh.shipped_bytes,
+            refresh.shipped_messages,
+            refresh.makespan
+        ),
+        (run.shipped_bytes, run.shipped_messages, run.makespan),
+        "cost at {epoch}"
+    );
+    assert_eq!(refresh.recovered, run.recovered, "recovery at {epoch}");
+    assert_eq!(
+        refresh.sketch_fallbacks, run.sketch_fallback as usize,
+        "fallback at {epoch}"
+    );
+    run
+}
+
+#[test]
+fn refresh_view_and_a_one_view_registry_agree_epoch_by_epoch() {
+    // The join stream of `maintenance_survives_a_mid_maintenance_node_failure`,
+    // its second epoch interrupted by a node failure mid-maintenance.
+    let mut s = cluster(5);
+    publish_r(&mut s, 80);
+    publish_s_matching(&mut s, 80); // epoch 1
+    let plan = join_plan();
+    let mut view = MaterializedView::new("join", &plan).unwrap();
+    let mut registry = ViewRegistry::new(NodeId(0));
+    registry.register(view.clone());
+    refresh_both(&mut view, &mut registry, &s, Epoch(1), None);
+
+    let mut b = UpdateBatch::new();
+    for k in 300..330 {
+        b.insert("R", r_row(k));
+        b.insert("S", Tuple::new(vec![Value::Int(k), Value::Int(k * 10)]));
+    }
+    for k in 0..20 {
+        b.modify("R", r_row_v2(k));
+    }
+    s.publish(&b).unwrap();
+    let probe = refresh_view(
+        &mut view.clone(),
+        &s,
+        &EngineConfig::default(),
+        MaintenanceMode::Incremental,
+        Epoch(2),
+        NodeId(0),
+        None,
+    )
+    .unwrap();
+    let failure = FailureSpec::at_time(
+        NodeId(4),
+        SimTime::from_micros(probe.makespan.as_micros() / 2),
+    );
+    let run = refresh_both(&mut view, &mut registry, &s, Epoch(2), Some(failure));
+    assert!(run.recovered, "the failure must interrupt maintenance");
+    assert_eq!(view.answer(), full_run(&s, &plan, Epoch(2)));
+
+    // The delete-heavy MIN stream of
+    // `min_view_absorbs_a_delete_heavy_stream_incrementally`: some epochs
+    // exhaust a sketch and take the recompute fallback.
+    let mut s = cluster(4);
+    publish_r(&mut s, 60); // epoch 0
+    let mut b = PlanBuilder::new();
+    let scan = b.scan("R", 3, None);
+    let ship = b.ship(scan);
+    let agg = b.aggregate(
+        ship,
+        vec![1],
+        vec![(AggFunc::Min, 2)],
+        crate::plan::AggMode::Single,
+    );
+    let plan = b.output(agg);
+    let mut view = MaterializedView::new("min", &plan).unwrap();
+    let mut registry = ViewRegistry::new(NodeId(0));
+    registry.register(view.clone());
+    refresh_both(&mut view, &mut registry, &s, Epoch(0), None);
+    let mut fallbacks = 0usize;
+    for epoch in 1..=8u64 {
+        let mut b = UpdateBatch::new();
+        for k in (epoch as i64 - 1) * 6..epoch as i64 * 6 {
+            b.delete("R", vec![Value::Int(k)]);
+        }
+        s.publish(&b).unwrap();
+        let run = refresh_both(&mut view, &mut registry, &s, Epoch(epoch), None);
+        fallbacks += run.sketch_fallback as usize;
+        assert_eq!(view.answer(), full_run(&s, &plan, Epoch(epoch)));
+    }
+    assert!(fallbacks >= 1, "the stream must take the sketch fallback");
 }

@@ -88,17 +88,6 @@ impl TaggedTuple {
         }
     }
 
-    /// Replace the data while keeping the tags (projection, function
-    /// evaluation).
-    pub fn with_tuple(&self, tuple: Tuple) -> TaggedTuple {
-        TaggedTuple {
-            tuple,
-            provenance: self.provenance,
-            phase: self.phase,
-            sign: self.sign,
-        }
-    }
-
     /// Is this tuple tainted with respect to a set of failed nodes?
     pub fn is_tainted(&self, failed: &NodeSet) -> bool {
         self.provenance.intersects(failed)
@@ -164,15 +153,5 @@ mod tests {
         assert_eq!(j.sign, -1, "assertion × retraction retracts");
         let jj = TaggedTuple::derived(t(4), &retraction, &retraction, NodeId(2));
         assert_eq!(jj.sign, 1, "two retractions assert");
-        assert_eq!(retraction.with_tuple(t(9)).sign, -1);
-    }
-
-    #[test]
-    fn with_tuple_keeps_tags() {
-        let x = TaggedTuple::scanned(t(1), NodeId(2), 3);
-        let y = x.with_tuple(t(9));
-        assert_eq!(y.tuple, t(9));
-        assert_eq!(y.provenance, x.provenance);
-        assert_eq!(y.phase, 3);
     }
 }

@@ -117,3 +117,42 @@ fn departed_initiator_is_rejected() {
         "unexpected error: {err}"
     );
 }
+
+#[test]
+fn stale_snapshot_with_several_departed_nodes_recovers_or_reports_lost_data() {
+    let (storage, expected) = seeded_cluster();
+    let stale = storage.routing().clone();
+    for strategy in [RecoveryStrategy::Restart, RecoveryStrategy::Incremental] {
+        let exec = QueryExecutor::new(
+            &storage,
+            EngineConfig {
+                strategy,
+                ..EngineConfig::default()
+            },
+        );
+        // Every departed node is still listed by the snapshot, so each
+        // one is a failure of the run; replication 3 keeps a surviving
+        // copy of every range.
+        for nodes in [&[5, 6][..], &[3, 6], &[5, 6, 7]] {
+            let departed: NodeSet = nodes.iter().map(|&n| NodeId(n)).collect();
+            let report = exec
+                .execute_with_stale_snapshot(&scan_plan(), Epoch(0), INITIATOR, &stale, &departed)
+                .unwrap();
+            assert!(report.recovered, "{strategy:?} {nodes:?}: no recovery");
+            assert_eq!(
+                report.rows, expected,
+                "{strategy:?} {nodes:?}: wrong answer"
+            );
+        }
+        // Four departures exceed replication 3: some range has lost every
+        // copy, which is a typed error, never a panic or a hang.
+        let departed: NodeSet = (1..=4).map(NodeId).collect();
+        let err = exec
+            .execute_with_stale_snapshot(&scan_plan(), Epoch(0), INITIATOR, &stale, &departed)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("storage-missing"),
+            "{strategy:?}: unexpected error: {err}"
+        );
+    }
+}

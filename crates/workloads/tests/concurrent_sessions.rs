@@ -71,7 +71,7 @@ fn three_concurrent_sessions_recover_to_their_references_under_both_strategies()
 
     // Failure-free baseline fixes the makespan the failure lands inside.
     let baseline = scheduler
-        .run(&storage, &EngineConfig::default(), &sessions)
+        .run(&storage, &EngineConfig::default(), &sessions, &[], None)
         .unwrap();
     assert_eq!(baseline.peak_concurrency, 3);
     for (i, sr) in baseline.sessions.iter().enumerate() {
@@ -93,7 +93,7 @@ fn three_concurrent_sessions_recover_to_their_references_under_both_strategies()
             SimTime::from_micros(baseline.makespan.as_micros() / 2),
         );
         let workload = scheduler
-            .run_with_failure(&storage, &config, &sessions, failure)
+            .run(&storage, &config, &sessions, &[failure], None)
             .unwrap();
         let recovered = workload
             .sessions
@@ -133,7 +133,7 @@ fn scheduled_answers_match_whichever_admission_policy_runs() {
             slo: None,
         });
         let workload = scheduler
-            .run(&storage, &EngineConfig::default(), &sessions)
+            .run(&storage, &EngineConfig::default(), &sessions, &[], None)
             .unwrap();
         assert!(workload.peak_concurrency <= 2);
         for (i, sr) in workload.sessions.iter().enumerate() {

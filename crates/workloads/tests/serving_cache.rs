@@ -66,13 +66,13 @@ fn every_cached_catalogue_answer_equals_a_fresh_run() {
     let config = EngineConfig::default();
 
     let cold = scheduler
-        .run_serving(&storage, &config, &sessions, &mut cache)
+        .run(&storage, &config, &sessions, &[], Some(&mut cache))
         .unwrap();
     assert_eq!(cold.cache.hits, 0);
     assert_eq!(cold.cache.insertions, workloads.len() as u64);
 
     let warm = scheduler
-        .run_serving(&storage, &config, &sessions, &mut cache)
+        .run(&storage, &config, &sessions, &[], Some(&mut cache))
         .unwrap();
     assert_eq!(warm.cache.hits, workloads.len() as u64);
     assert!(warm.cache.bytes_saved > 0);
@@ -108,7 +108,7 @@ fn a_publication_forces_reexecution_never_a_stale_answer() {
     let config = EngineConfig::default();
 
     let cold = scheduler
-        .run_serving(&storage, &config, &sessions, &mut cache)
+        .run(&storage, &config, &sessions, &[], Some(&mut cache))
         .unwrap();
     assert_eq!(cold.sessions[0].report.rows, workload.reference());
 
@@ -123,7 +123,7 @@ fn a_publication_forces_reexecution_never_a_stale_answer() {
 
     let sessions_e1 = build_sessions(&w, &storage, e1);
     let fresh = scheduler
-        .run_serving(&storage, &config, &sessions_e1, &mut cache)
+        .run(&storage, &config, &sessions_e1, &[], Some(&mut cache))
         .unwrap();
     let sr = &fresh.sessions[0];
     assert!(!sr.served_from_cache, "a new epoch must miss");
@@ -135,12 +135,12 @@ fn a_publication_forces_reexecution_never_a_stale_answer() {
     // Both epochs now coexist under distinct keys: the old epoch still
     // hits with the *old* answer, the new one with the new.
     let warm_old = scheduler
-        .run_serving(&storage, &config, &sessions, &mut cache)
+        .run(&storage, &config, &sessions, &[], Some(&mut cache))
         .unwrap();
     assert!(warm_old.sessions[0].served_from_cache);
     assert_eq!(warm_old.sessions[0].report.rows, workload.reference());
     let warm_new = scheduler
-        .run_serving(&storage, &config, &sessions_e1, &mut cache)
+        .run(&storage, &config, &sessions_e1, &[], Some(&mut cache))
         .unwrap();
     assert!(warm_new.sessions[0].served_from_cache);
     assert_eq!(warm_new.sessions[0].report.rows, stream.reference(0));
@@ -162,7 +162,7 @@ fn eviction_under_capacity_pressure_never_corrupts_accounting() {
         let mut cache = ResultCache::new(2, policy);
         for round in 0..3 {
             let report = scheduler
-                .run_serving(&storage, &config, &sessions, &mut cache)
+                .run(&storage, &config, &sessions, &[], Some(&mut cache))
                 .unwrap();
             for (i, sr) in report.sessions.iter().enumerate() {
                 assert_eq!(
@@ -211,7 +211,9 @@ fn a_hit_after_a_mid_query_failure_returns_the_recovered_answer() {
     let config = EngineConfig::default();
 
     // A failure-free run fixes the makespan the failure lands inside.
-    let baseline = scheduler.run(&storage, &config, &sessions).unwrap();
+    let baseline = scheduler
+        .run(&storage, &config, &sessions, &[], None)
+        .unwrap();
     let failure = FailureSpec::at_time(
         NodeId(NODES - 1), // never the initiator (sessions start at node 0)
         SimTime::from_micros(baseline.makespan.as_micros() / 2),
@@ -219,7 +221,7 @@ fn a_hit_after_a_mid_query_failure_returns_the_recovered_answer() {
 
     let mut cache = ResultCache::new(2, EvictionPolicy::Lru);
     let failed = scheduler
-        .run_serving_with_failure(&storage, &config, &sessions, failure, &mut cache)
+        .run(&storage, &config, &sessions, &[failure], Some(&mut cache))
         .unwrap();
     assert!(
         failed.sessions[0].report.recovered,
@@ -232,7 +234,7 @@ fn a_hit_after_a_mid_query_failure_returns_the_recovered_answer() {
     );
 
     let warm = scheduler
-        .run_serving(&storage, &config, &sessions, &mut cache)
+        .run(&storage, &config, &sessions, &[], Some(&mut cache))
         .unwrap();
     assert!(warm.sessions[0].served_from_cache);
     assert_eq!(warm.sessions[0].latency, SimTime::ZERO);
